@@ -15,6 +15,7 @@ from .errors import (
     DegenerateInputError,
     DocumentError,
     GridOverflowError,
+    InvariantError,
     PreconditionError,
     ShapeError,
     TagMismatchError,

@@ -32,6 +32,11 @@ class PreconditionError(TropsolveError):
     rather than infeasible (regularity, positivity of the spectral radius)."""
 
 
+class InvariantError(TropsolveError):
+    """A result broke an invariant that its closed form guarantees: a defect
+    in the solver, never a property of the input."""
+
+
 class GridOverflowError(TropsolveError):
     """A search grid exceeds the configured point cap."""
 

@@ -3,8 +3,10 @@
 Vectors are column matrices (shape n x 1); row vectors are 1 x n matrices.
 ``A + B`` is the entrywise idempotent sum, ``A @ B`` the semifield matrix
 product, ``x * A`` scaling by a scalar, and ``A <= B`` the entrywise order.
-Everything is immutable; target sizes are small (a few hundred at most),
-so the O(n^4) trace sums behind the spectral radius stay cheap.
+Everything is immutable.  The star and the spectral radius cost O(n^3)
+semifield operations each (a Floyd-Warshall closure and Karp's cycle-mean
+recurrence); only ``tr_functional`` and the star of a matrix with a cycle
+weight above one still sum powers, at O(n^4).
 """
 
 from __future__ import annotations
@@ -189,17 +191,11 @@ class Matrix:
     def star(self) -> Matrix:
         """Truncated power sum I + A + ... + A^(n-1).
 
-        Well-defined for any square matrix; it is the closure of the
-        "at most x" recursion only when ``tr_functional(A) <= one``
-        (see :func:`kleene_star` for the flagged variant).
+        Computed as the closure ``I + A+`` (see :func:`kleene_star`), which
+        equals the truncated sum whenever no cycle weight exceeds one; for
+        other matrices the powers are summed directly.
         """
-        self._require_square("star")
-        acc = Matrix.identity(self.sf, self.rows)
-        p = acc
-        for _ in range(self.rows - 1):
-            p = p @ self
-            acc = acc + p
-        return acc
+        return kleene_star(self).matrix
 
     def item(self) -> Scalar:
         if self.shape != (1, 1):
@@ -300,48 +296,120 @@ def norm(a: Matrix) -> Scalar:
     return a.norm()
 
 
-def _power_traces(a: Matrix) -> list[Scalar]:
-    """Traces of A^1 .. A^n for square A of order n."""
-    a._require_square("power traces")
-    out = []
-    p = a
-    for _ in range(a.rows):
-        out.append(p.trace())
-        p = p @ a
-    return out
-
-
 def tr_functional(a: Matrix) -> Scalar:
     """Idempotent sum of the traces of A^1 .. A^n.
 
-    At most ``one`` exactly when every cycle weight in A is at most ``one``;
-    this gates the existence of regular solutions to ``A x + b <= x``.
+    At most ``one`` exactly when every cycle weight in A is at most ``one``,
+    which is also what ``kleene_star(a).closure_valid`` and
+    ``spectral_radius(a) <= one`` report, in O(n^3) instead of O(n^4).
     """
-    return a.sf.sum(_power_traces(a))
+    a._require_square("power traces")
+    acc = a.sf.zero
+    p = a
+    for _ in range(a.rows):
+        acc = acc + p.trace()
+        p = p @ a
+    return acc
 
 
 def spectral_radius(a: Matrix) -> Scalar:
-    """Largest eigenvalue: the sum of tr(A^m)^(1/m) over m = 1..n.
+    """Largest eigenvalue: the extremal cycle mean of the digraph of A.
 
-    Equals the extremal cycle mean of the weighted digraph of A; the zero
-    scalar signals a matrix without nonzero cycles.
+    Karp's recurrence (Karp 1978) in semifield operations: ``D_0`` is the
+    all-one row and ``D_k = D_(k-1) A`` holds the heaviest walks of length
+    k ending at each node, so that
+
+        lambda = sum over v of  meet over k < n of
+                 (D_n(v) D_k(v)^-1)^(1/(n-k)),
+
+    with zero entries of ``D_n`` and ``D_k`` left out.  Exact on additive
+    carriers; the zero scalar signals a matrix without nonzero cycles.
     """
-    traces = _power_traces(a)
-    return a.sf.sum(t ** Fraction(1, m + 1) for m, t in enumerate(traces))
+    a._require_square("spectral radius")
+    sf, n = a.sf, a.rows
+    walks = [Matrix.ones(sf, 1, n)]
+    for _ in range(n):
+        walks.append(walks[-1] @ a)
+    lam = sf.zero
+    for v, top in enumerate(walks[n].data[0]):
+        if top.is_zero:
+            continue
+        worst = top ** Fraction(1, n)  # k = 0, where D_0(v) is one
+        for k in range(1, n):
+            dk = walks[k].data[0][v]
+            if not dk.is_zero:
+                mean = (top * dk.inv()) ** Fraction(1, n - k)
+                if mean < worst:
+                    worst = mean
+        lam = lam + worst
+    return lam
 
 
 @dataclass(frozen=True)
 class StarClosure:
-    """Truncated power sum plus the flag telling whether it is a closure."""
+    """Star of a matrix plus the flag telling whether it is a closure."""
     matrix: Matrix
     closure_valid: bool
 
 
+def _plus_closure(a: Matrix):
+    """Floyd-Warshall closure ``A+ = A + A^2 + ...`` on raw payloads.
+
+    Eliminates one pivot k at a time: once every cycle through the nodes
+    before k weighs at most one, the entry ``(k, k)`` is the heaviest cycle
+    through k over them, so a value above one proves a cycle weight above
+    one (and ``A+`` diverges: returns None); otherwise the star of that
+    entry is one and the pivot step needs no star at all.
+    """
+    sf, n = a.sf, a.rows
+    additive, maximizing, one = sf.additive, sf.maximizing, sf.one.v
+    d = [[s.v for s in r] for r in a.data]
+    for k in range(n):
+        row_k = d[k]
+        pivot = row_k[k]
+        if pivot is not None and not sf._le_payload(pivot, one):
+            return None
+        out_k = [(j, v) for j, v in enumerate(row_k) if v is not None]
+        # row k is unchanged by its own pivot, since (k, k) is at most one
+        for i, row_i in enumerate(d):
+            dik = row_i[k]
+            if dik is None or i == k:
+                continue
+            for j, dkj in out_k:
+                t = dik + dkj if additive else dik * dkj
+                cur = row_i[j]
+                if cur is None or (t > cur if maximizing else t < cur):
+                    row_i[j] = t
+    return d
+
+
+def _power_sum(a: Matrix) -> Matrix:
+    """I + A + ... + A^(n-1), one product per term."""
+    acc = p = Matrix.identity(a.sf, a.rows)
+    for _ in range(a.rows - 1):
+        p = p @ a
+        acc = acc + p
+    return acc
+
+
 def kleene_star(a: Matrix) -> StarClosure:
-    """Star with the validity flag: the truncated sum is always returned,
-    and ``closure_valid`` records whether ``tr_functional(a) <= one``."""
-    valid = tr_functional(a) <= a.sf.one
-    return StarClosure(a.star(), valid)
+    """Star with the validity flag, from one Floyd-Warshall pass.
+
+    ``closure_valid`` records whether every cycle weight of A is at most
+    one (equivalently ``tr_functional(a) <= one``, or ``lambda(A) <= one``);
+    the matrix is then the closure ``I + A+``, which equals
+    ``I + A + ... + A^(n-1)``.  For an invalid closure the matrix is that
+    truncated sum, computed directly.
+    """
+    a._require_square("star")
+    plus = _plus_closure(a)
+    if plus is None:
+        return StarClosure(_power_sum(a), False)
+    sf = a.sf
+    cells = [[sf.zero if v is None else sf._wrap(v) for v in r] for r in plus]
+    for i, r in enumerate(cells):
+        r[i] = sf.one + r[i]
+    return StarClosure(Matrix(sf, tuple(map(tuple, cells))), True)
 
 
 # ----------------------------------------------------------------------

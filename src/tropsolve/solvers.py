@@ -2,11 +2,12 @@
 
 Every solver validates its stated preconditions eagerly.  Structural defects
 (wrong regularity of the data, a zero spectral radius) raise
-:class:`PreconditionError`; data-dependent emptiness (a trace gate above one,
-incompatible bounds) produces an infeasible report with a machine-readable
-reason.  An optimal report carries the exact optimum and an object describing
-the complete solution set, except where a solver is documented to return a
-single attaining point.
+:class:`PreconditionError`; data-dependent emptiness (a cycle weight above
+one, incompatible bounds) produces an infeasible report with a
+machine-readable reason.  A result that breaks an invariant of its own
+closed form raises :class:`InvariantError`.  An optimal report carries the
+exact optimum and an object describing the complete solution set, except
+where a solver is documented to return a single attaining point.
 
 Solvers are addressed by stable kind identifiers through :data:`SOLVERS` and
 :func:`solve`.
@@ -17,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import PreconditionError, ShapeError
+from .errors import InvariantError, PreconditionError, ShapeError
 from .linalg import (
     Matrix,
     is_regular_vector,
+    kleene_star,
     ones_vector,
     spectral_radius,
-    tr_functional,
 )
 from .semifield import Scalar
 from .systems import (
@@ -95,6 +96,9 @@ def _gate(cond: bool, name: str, diags: list) -> bool:
 
 
 def _optimal(kind: str, optimum: Scalar, solution, diags: list) -> OptimumReport:
+    # an explicit check, not an assert: ``python -O`` strips asserts
+    if getattr(solution, "is_empty", False):
+        raise InvariantError(f"{kind}: empty solution set at the optimum")
     return OptimumReport(kind, OPTIMAL, optimum, solution, None, tuple(diags))
 
 
@@ -165,9 +169,7 @@ def solve_cheb_box(p: Matrix, q: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
     mu = (_val(q.conj() @ p) ** _HALF) + _val(q.conj() @ g) + _val(h.conj() @ p)
     lower = (mu.inv() * p) + g
     upper = ((mu.inv() * q.conj()) + h.conj()).conj()
-    sol = BoxSolutionSet(lower, upper)
-    assert not sol.is_empty
-    return _optimal(kind, mu, sol, diags)
+    return _optimal(kind, mu, BoxSolutionSet(lower, upper), diags)
 
 
 def solve_cheb_image_lower(a: Matrix, p: Matrix, q: Matrix, g: Matrix) -> OptimumReport:
@@ -203,9 +205,10 @@ def solve_cheb_kleene_box(b: Matrix, p: Matrix, q: Matrix,
     _require(not p.is_zero, "p nonzero", diags)
     _require(is_regular_vector(q), "q regular", diags)
     _require(is_regular_vector(h), "h regular", diags)
-    if not _gate(tr_functional(b) <= b.sf.one, "Tr(B) <= one", diags):
+    closure = kleene_star(b)
+    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    bs = b.star()
+    bs = closure.matrix
     if not _gate(_val(h.conj() @ (bs @ g)) <= b.sf.one, "h- B* g <= one", diags):
         return _infeasible(kind, INFEASIBLE_BOX, diags)
     theta = ((_val(q.conj() @ (bs @ p)) ** _HALF)
@@ -214,7 +217,6 @@ def solve_cheb_kleene_box(b: Matrix, p: Matrix, q: Matrix,
     lower = g + theta.inv() * p
     upper = ((h.conj() + theta.inv() * q.conj()) @ bs).conj()
     sol = GeneratedSolutionSet(bs, lower, upper)
-    assert not sol.is_empty
     return _optimal(kind, theta, sol, diags)
 
 
@@ -227,14 +229,14 @@ def solve_cheb_kleene(b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
     diags: list = []
     _require(not p.is_zero, "p nonzero", diags)
     _require(is_regular_vector(q), "q regular", diags)
-    if not _gate(tr_functional(b) <= b.sf.one, "Tr(B) <= one", diags):
+    closure = kleene_star(b)
+    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    bs = b.star()
+    bs = closure.matrix
     theta = _val(q.conj() @ (bs @ p)) ** _HALF
     lower = theta.inv() * p
     upper = theta * (q.conj() @ bs).conj()
     sol = GeneratedSolutionSet(bs, lower, upper)
-    assert not sol.is_empty
     return _optimal(kind, theta, sol, diags)
 
 
@@ -277,9 +279,10 @@ def solve_span_min_constrained(c: Matrix, d: Matrix) -> OptimumReport:
         raise ShapeError(f"D must be {n}x{n}, got {d.shape}")
     diags: list = []
     _require(c.is_regular(), "C regular", diags)
-    if not _gate(tr_functional(d) <= d.sf.one, "Tr(D) <= one", diags):
+    closure = kleene_star(d)
+    if not _gate(closure.closure_valid, "Tr(D) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    ds = d.star()
+    ds = closure.matrix
     m = c @ ds
     w = (Matrix.ones(c.sf, 1, n) @ m).conj()
     delta = _val((m @ w).conj() @ ones_vector(c.sf, n))
@@ -309,7 +312,9 @@ def solve_span_max(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
                   for i in range(n)]
     k, ties = _argbest(col_scores)
     delta = _val(qc @ b @ a.conj() @ p)
-    assert delta == col_scores[k]
+    if delta != col_scores[k]:
+        raise InvariantError(
+            f"{kind}: best column score {col_scores[k]!r} is not the optimum {delta!r}")
     s, _ = _argbest([a[i, k].inv() * p[i] for i in range(m)])
     pinned = _val(a.column(k).conj() @ p)
     bounds = tuple(None if j == k else a[s, j].inv() * p[s] for j in range(n))
@@ -337,9 +342,10 @@ def solve_span_max_constrained(a: Matrix, b: Matrix, c: Matrix,
     if c.shape != (n, n):
         raise ShapeError(f"C must be {n}x{n}, got {c.shape}")
     diags: list = []
-    if not _gate(tr_functional(c) <= c.sf.one, "Tr(C) <= one", diags):
+    closure = kleene_star(c)
+    if not _gate(closure.closure_valid, "Tr(C) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    cs = c.star()
+    cs = closure.matrix
     inner = solve_span_max(a @ cs, b @ cs, p, q)
     family = replace(inner.solution, generator=cs)
     return OptimumReport(kind, OPTIMAL, inner.optimum, family, None,
@@ -372,15 +378,15 @@ def solve_rayleigh_affine(a: Matrix, p: Matrix, q: Matrix, r: Scalar) -> Optimum
     _require(is_regular_vector(q), "q regular", diags)
     mu = lam + r
     qc = q.conj()
-    pw = Matrix.identity(a.sf, n)
+    v = p  # A^(m-1) p
     for m in range(1, n + 1):
-        mu = mu + _val(qc @ (pw @ p)) ** Fraction(1, m + 1)
-        pw = pw @ a
+        if m > 1:
+            v = a @ v
+        mu = mu + _val(qc @ v) ** Fraction(1, m + 1)
     gen = (mu.inv() * a).star()
     lower = mu.inv() * p
     upper = mu * (qc @ gen).conj()
     sol = GeneratedSolutionSet(gen, lower, upper)
-    assert not sol.is_empty
     return _optimal(kind, mu, sol, diags)
 
 
@@ -445,20 +451,20 @@ def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
     if not c_vacuous:
         _require(c.is_col_regular(), "C column-regular", diags)
     _require(is_regular_vector(h), "h regular", diags)
-    if not _gate(tr_functional(b) <= b.sf.one, "Tr(B) <= one", diags):
+    closure = kleene_star(b)
+    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    bs = b.star()
+    bs = closure.matrix
     compat = _val(h.conj() @ (c @ (bs @ g)))
     if not _gate(compat <= a.sf.one, "h- C B* g <= one", diags):
         return _infeasible(kind, INFEASIBLE_BOX, diags)
     cap = Matrix.identity(a.sf, n) + (g @ (h.conj() @ c))
     theta = _span_products_trace_sum(a, b, k_max=n, min_total=0, tail=cap)
-    gen = ((theta.inv() * a) + b).star()
-    diags.append(("Tr(theta^-1 A + B) <= one",
-                  tr_functional((theta.inv() * a) + b) <= a.sf.one))
+    closure = kleene_star((theta.inv() * a) + b)
+    gen = closure.matrix
+    diags.append(("Tr(theta^-1 A + B) <= one", closure.closure_valid))
     upper = None if c_vacuous else ((h.conj() @ c) @ gen).conj()
     sol = GeneratedSolutionSet(gen, g, upper)
-    assert not sol.is_empty
     return _optimal(kind, theta, sol, diags)
 
 
@@ -472,7 +478,7 @@ def solve_rayleigh_lower(a: Matrix, b: Matrix, g: Matrix) -> OptimumReport:
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
-    if not _gate(tr_functional(b) <= b.sf.one, "Tr(B) <= one", diags):
+    if not _gate(spectral_radius(b) <= b.sf.one, "Tr(B) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
     theta = _theta_lower(a, b)
     gen = ((theta.inv() * a) + b).star()
@@ -492,14 +498,13 @@ def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
     if not _gate(_val(h.conj() @ g) <= a.sf.one, "h- g <= one", diags):
         return _infeasible(kind, INFEASIBLE_BOX, diags)
     theta = lam
-    pw = Matrix.identity(a.sf, n)
+    hc, v = h.conj(), g  # A^k g
     for k in range(1, n + 1):
-        pw = pw @ a
-        theta = theta + _val(h.conj() @ (pw @ g)) ** Fraction(1, k)
+        v = a @ v
+        theta = theta + _val(hc @ v) ** Fraction(1, k)
     gen = (theta.inv() * a).star()
     upper = (h.conj() @ gen).conj()
     sol = GeneratedSolutionSet(gen, g, upper)
-    assert not sol.is_empty
     return _optimal(kind, theta, sol, diags)
 
 
@@ -514,7 +519,7 @@ def solve_rayleigh_p_lower(a: Matrix, b: Matrix, p: Matrix, g: Matrix) -> Optimu
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
-    if not _gate(tr_functional(b) <= b.sf.one, "Tr(B) <= one", diags):
+    if not _gate(spectral_radius(b) <= b.sf.one, "Tr(B) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
     theta = _theta_lower(a, b)
     gen = ((theta.inv() * a) + b).star()
@@ -537,21 +542,21 @@ def solve_new_boxed_spectral(a: Matrix, p: Matrix, q: Matrix, g: Matrix,
     if not _gate(_val(h.conj() @ g) <= a.sf.one, "h- g <= one", diags):
         return _infeasible(kind, INFEASIBLE_BOX, diags)
     qc, hc = q.conj(), h.conj()
-    powers = _matrix_powers(a, n - 1)
+    ap, ag = p, g  # A^m p and A^m g
     mu = lam + r
     for m in range(n):
-        pw = powers[m]
-        mu = mu + _val(qc @ (pw @ p)) ** Fraction(1, m + 2)
-        mu = mu + (_val(qc @ (pw @ g)) + _val(hc @ (pw @ p))) ** Fraction(1, m + 1)
         if m >= 1:
-            mu = mu + _val(hc @ (pw @ g)) ** Fraction(1, m)
-    gen = (mu.inv() * a).star()
-    diags.append(("Tr(mu^-1 A) <= one",
-                  tr_functional(mu.inv() * a) <= a.sf.one))
+            ap, ag = a @ ap, a @ ag
+        mu = mu + _val(qc @ ap) ** Fraction(1, m + 2)
+        mu = mu + (_val(qc @ ag) + _val(hc @ ap)) ** Fraction(1, m + 1)
+        if m >= 1:
+            mu = mu + _val(hc @ ag) ** Fraction(1, m)
+    closure = kleene_star(mu.inv() * a)
+    gen = closure.matrix
+    diags.append(("Tr(mu^-1 A) <= one", closure.closure_valid))
     lower = (mu.inv() * p) + g
     upper = (((mu.inv() * qc) + hc) @ gen).conj()
     sol = GeneratedSolutionSet(gen, lower, upper)
-    assert not sol.is_empty
     return _optimal(kind, mu, sol, diags)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ShapeError
-from .linalg import Matrix, is_regular_vector, tr_functional
+from .linalg import Matrix, is_regular_vector, kleene_star
 
 NO_REGULAR_SOLUTION = "NO_REGULAR_SOLUTION"
 INFEASIBLE_BOX = "INFEASIBLE_BOX"
@@ -91,13 +91,15 @@ def principal_solution_leq(a: Matrix, d: Matrix) -> BoxSolutionSet:
 def solve_sub_fixpoint(a: Matrix, b: Matrix) -> GeneratedSolutionSet | EmptySolutionSet:
     """All regular solutions of ``A x + b <= x``, or an empty set.
 
-    Regular solutions exist iff ``tr_functional(A) <= one``; they are exactly
-    ``x = star(A) u`` over regular ``u >= b``.
+    Regular solutions exist iff every cycle weight of A is at most one
+    (``tr_functional(A) <= one``, read off the star's closure flag); they
+    are exactly ``x = star(A) u`` over regular ``u >= b``.
     """
     a._require_square("solve_sub_fixpoint")
     if b.cols != 1 or b.rows != a.rows:
         raise ShapeError(
             f"b must be a column vector of dim {a.rows}, got shape {b.shape}")
-    if not tr_functional(a) <= a.sf.one:
+    closure = kleene_star(a)
+    if not closure.closure_valid:
         return EmptySolutionSet(NO_REGULAR_SOLUTION)
-    return GeneratedSolutionSet(generator=a.star(), lower=b, upper=None)
+    return GeneratedSolutionSet(generator=closure.matrix, lower=b, upper=None)

@@ -1,7 +1,10 @@
 """Closed-form solvers: frozen spec examples, reductions between kinds,
 and targeted oracle cross-checks (the acceptance suite sweeps more widely)."""
 
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +17,7 @@ from tropsolve import (
     OPTIMAL,
     PROBLEM_KINDS,
     ComponentwiseFamily,
+    InvariantError,
     Matrix,
     PreconditionError,
     RaySolution,
@@ -26,7 +30,9 @@ from tropsolve import (
     vector,
     verify_report,
 )
+from tropsolve import solvers
 from tropsolve.gen import generate
+from tropsolve.systems import BoxSolutionSet
 
 
 def mp(rows):
@@ -449,3 +455,42 @@ def test_dispatch_errors():
         solve("no_such_kind")
     with pytest.raises(TypeError):
         solve("rayleigh")  # missing A
+
+
+# ----------------------------------------------------------------------
+# invariants are explicit checks, so ``python -O`` keeps them
+
+def test_empty_optimal_solution_set_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(BoxSolutionSet, "is_empty", property(lambda self: True))
+    with pytest.raises(InvariantError, match="cheb_box"):
+        solve("cheb_box", p=vec(0), q=vec(0), g=vec(0), h=vec(1))
+
+
+def test_span_max_column_score_mismatch_raises_invariant_error(monkeypatch):
+    data = generate("span_max", 3, seed=4)
+    real = solvers._argbest
+
+    def wrong_column(values):
+        # the first call picks the column; hand back one that is not best
+        monkeypatch.setattr(solvers, "_argbest", real)
+        k, _ = real(values)
+        other = next(i for i, v in enumerate(values) if v != values[k])
+        return other, (other,)
+
+    monkeypatch.setattr(solvers, "_argbest", wrong_column)
+    with pytest.raises(InvariantError, match="span_max"):
+        solve("span_max", **data)
+
+
+def test_invariant_checks_survive_python_optimize():
+    code = ("from tropsolve import InvariantError, solvers\n"
+            "from tropsolve.systems import EmptySolutionSet\n"
+            "try:\n"
+            "    solvers._optimal('cheb_box', None, EmptySolutionSet('x'), [])\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
+    src = pathlib.Path(__file__).parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)})
+    assert out.stdout == "raised\n"
