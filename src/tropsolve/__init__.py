@@ -30,28 +30,16 @@ from .semifield import (
     SEMIFIELDS,
     Scalar,
     Semifield,
-    inverse,
-    leq,
-    oplus,
-    otimes,
-    power,
 )
 from .linalg import (
     Matrix,
     StarClosure,
-    conj_transpose,
     format_matrix,
     is_regular_vector,
     kleene_star,
-    mat_add,
-    mat_mul,
-    mat_power,
-    norm,
     ones_vector,
     parse_matrix,
-    scal_mul,
     spectral_radius,
-    trace,
     tr_functional,
     vector,
 )
@@ -59,18 +47,17 @@ from .systems import (
     INFEASIBLE_BOX,
     NO_REGULAR_SOLUTION,
     BoxSolutionSet,
+    ComponentwiseFamily,
     EmptySolutionSet,
     GeneratedSolutionSet,
+    RaySolution,
     principal_solution_leq,
     solve_sub_fixpoint,
 )
 from .solvers import (
     INFEASIBLE,
     OPTIMAL,
-    SOLVERS,
-    ComponentwiseFamily,
     OptimumReport,
-    RaySolution,
     solve,
     solve_cheb_box,
     solve_cheb_image_lower,

@@ -11,13 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .errors import (
-    DocumentError,
-    GridOverflowError,
-    PreconditionError,
-    ShapeError,
-    TropsolveError,
-)
+from .errors import DocumentError, GridOverflowError, TropsolveError
 from .fileio import (
     ProblemDocument,
     document_to_dict,
@@ -54,14 +48,6 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _print_vector(label: str, v, indent: str = "  ") -> None:
-    if v is None:
-        _echo(f"{indent}{label}: (none)")
-    else:
-        _echo(f"{indent}{label}: "
-              + " ".join(v[i].literal(".") for i in range(v.dim)))
-
-
 def _print_report(report, sf) -> None:
     _echo(f"kind: {report.kind}")
     _echo(f"semifield: {sf.tag}")
@@ -70,35 +56,23 @@ def _print_report(report, sf) -> None:
         _echo(f"reason: {report.reason}")
     else:
         _echo(f"optimum: {report.optimum.literal()}")
-        sol = report.solution
-        type_name = type(sol).__name__
-        if type_name == "BoxSolutionSet":
-            _echo("solution: box of vectors")
-            _print_vector("lower", sol.lower)
-            _print_vector("upper", sol.upper)
-        elif type_name == "GeneratedSolutionSet":
-            _echo("solution: x = G u over a box of u")
-            _echo("  G:")
-            for line in format_matrix(sol.generator).splitlines():
-                _echo("    " + line)
-            _print_vector("u lower", sol.lower)
-            _print_vector("u upper", sol.upper)
-        elif type_name == "RaySolution":
-            _echo("solution: x = alpha d for any alpha > zero")
-            _print_vector("d", sol.direction)
-        else:
-            _echo("solution: componentwise family")
-            _echo(f"  pinned index: {sol.pinned_index}"
-                  f" (ties: {list(sol.tied_pinned_indices)})")
-            _echo(f"  pinned value: {sol.pinned_value.literal()}")
-            bounds = " ".join("-" if b is None else b.literal()
-                              for b in sol.upper_bounds)
-            _echo(f"  upper bounds: {bounds}")
-            if sol.generator is not None:
-                _echo("  mapped through generator G (x = G u)")
+        for line in report.solution.describe():
+            _echo(line)
     _echo("checks:")
     for name, ok in report.diagnostics:
         _echo(f"  [{'ok' if ok else 'FAIL'}] {name}")
+
+
+def _setting(settings: dict, key: str, parse, default=None):
+    """``parse(settings[key])``, or ``default`` when the key is absent or
+    null; a value that does not parse is a document error naming the key."""
+    raw = settings.get(key)
+    if raw is None:
+        return default
+    try:
+        return parse(raw)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DocumentError(f"invalid value {raw!r}", key) from exc
 
 
 def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec | None:
@@ -110,11 +84,9 @@ def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec | None:
     settings = dict(doc.grid or {})
     if args.step is not None:
         settings["step"] = args.step
-    step = settings.get("step")
-    step = Fraction(step) if step is not None else None
-    margin = settings.get("margin")
-    margin = Fraction(margin) if margin is not None else None
-    cap = int(settings.get("cap", DEFAULT_GRID_CAP))
+    step = _setting(settings, "step", Fraction)
+    margin = _setting(settings, "margin", Fraction)
+    cap = _setting(settings, "cap", int, DEFAULT_GRID_CAP)
     if report.status == INFEASIBLE:
         return data_span_grid(doc.kind, doc.data, step=step, cap=cap)
     if step is None and margin is None and cap == DEFAULT_GRID_CAP:
@@ -127,7 +99,7 @@ def cmd_solve(args) -> int:
     try:
         doc = load_document(args.path)
         report = solve(doc.kind, **doc.data)
-    except (DocumentError, OSError, PreconditionError, ShapeError) as exc:
+    except (OSError, TropsolveError) as exc:
         return _fail(str(exc))
     if args.json:
         _echo(dumps(report_to_dict(report, doc.semifield)))
@@ -140,20 +112,20 @@ def cmd_verify(args) -> int:
     try:
         doc = load_document(args.path)
         report = solve(doc.kind, **doc.data)
-    except (DocumentError, OSError, PreconditionError, ShapeError) as exc:
-        return _fail(str(exc))
-    settings = dict(doc.verify or {})
-    samples = args.samples if args.samples is not None else int(settings.get("samples", 20))
-    seed = args.seed if args.seed is not None else int(settings.get("seed", 0))
-    window = args.window if args.window is not None else settings.get("window", 10)
-    try:
+        settings = dict(doc.verify or {})
+        samples = (args.samples if args.samples is not None
+                   else _setting(settings, "samples", int, 20))
+        seed = (args.seed if args.seed is not None
+                else _setting(settings, "seed", int, 0))
+        window = (args.window if args.window is not None
+                  else _setting(settings, "window", doc.semifield.scalar, 10))
         grid = _grid_from_settings(doc, report, args)
         vr = verify_report(doc.kind, doc.data, report, grid=grid,
                            samples=samples, seed=seed, window=window)
     except GridOverflowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
-    except TropsolveError as exc:
+    except (OSError, TropsolveError) as exc:
         return _fail(str(exc))
     if args.json:
         _echo(dumps(verification_to_dict(vr, doc.semifield)))
@@ -180,14 +152,17 @@ def cmd_gen(args) -> int:
     if args.kind not in PROBLEM_KINDS:
         return _fail(f"unknown problem kind {args.kind!r}")
     sf = SEMIFIELDS[args.semifield]
-    data = generate(args.kind, args.size, args.seed, sf=sf)
-    doc = ProblemDocument(sf, args.kind, data)
-    text = dumps(document_to_dict(doc))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _echo(text)
+    try:
+        data = generate(args.kind, args.size, args.seed, sf=sf)
+        doc = ProblemDocument(sf, args.kind, data)
+        text = dumps(document_to_dict(doc))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _echo(text)
+    except (OSError, TropsolveError) as exc:
+        return _fail(str(exc))
     return EXIT_OK
 
 

@@ -13,13 +13,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DocumentError
-from .linalg import Matrix
+from .errors import CarrierDomainError, DocumentError
+from .linalg import Matrix, encode_matrix, encode_scalar, encode_vector
 from .oracle import VerificationReport
 from .problems import PROBLEM_KINDS
 from .semifield import SEMIFIELDS, Scalar, Semifield
-from .solvers import ComponentwiseFamily, OptimumReport, RaySolution
-from .systems import BoxSolutionSet, GeneratedSolutionSet
+from .solvers import OptimumReport
 
 REPORT_SCHEMA = "tropsolve.report/1"
 VERIFY_SCHEMA = "tropsolve.verify/1"
@@ -35,27 +34,7 @@ class ProblemDocument:
 
 
 # ----------------------------------------------------------------------
-# scalar/matrix encoding
-
-def encode_scalar(s: Scalar | None):
-    if s is None or s.is_zero:
-        return None
-    if isinstance(s.v, Fraction):
-        return int(s.v) if s.v.denominator == 1 else str(s.v)
-    return s.v
-
-
-def encode_vector(v: Matrix | None):
-    if v is None:
-        return None
-    return [encode_scalar(v[i]) for i in range(v.dim)]
-
-
-def encode_matrix(m: Matrix | None):
-    if m is None:
-        return None
-    return [[encode_scalar(s) for s in row] for row in m.data]
-
+# scalar/matrix decoding (the encoders live in ``linalg``)
 
 def _decode_scalar(sf: Semifield, raw, field: str) -> Scalar:
     if raw is None:
@@ -65,7 +44,7 @@ def _decode_scalar(sf: Semifield, raw, field: str) -> Scalar:
                             f"got {raw!r}", field)
     try:
         return sf.scalar(raw)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, CarrierDomainError) as exc:
         raise DocumentError(str(exc), field) from exc
 
 
@@ -91,6 +70,12 @@ def _decode_matrix(sf: Semifield, raw, field: str) -> Matrix:
     return Matrix(sf, tuple(rows))
 
 
+#: by the number of dimension letters a declared shape has
+_ROLES = ("scalar", "vector", "matrix")
+_DECODERS = (_decode_scalar, _decode_vector, _decode_matrix)
+_ENCODERS = (encode_scalar, encode_vector, encode_matrix)
+
+
 # ----------------------------------------------------------------------
 # documents
 
@@ -108,20 +93,11 @@ def parse_document(text: str) -> ProblemDocument:
     kind = raw.get("kind")
     if kind not in PROBLEM_KINDS:
         raise DocumentError(f"unknown problem kind {kind!r}", "kind")
-    pk = PROBLEM_KINDS[kind]
     data = {}
-    for f in pk.matrix_fields:
+    for f, letters in PROBLEM_KINDS[kind].shapes.items():
         if f not in raw:
-            raise DocumentError("required matrix field missing", f)
-        data[f] = _decode_matrix(sf, raw[f], f)
-    for f in pk.vector_fields:
-        if f not in raw:
-            raise DocumentError("required vector field missing", f)
-        data[f] = _decode_vector(sf, raw[f], f)
-    for f in pk.scalar_fields:
-        if f not in raw:
-            raise DocumentError("required scalar field missing", f)
-        data[f] = _decode_scalar(sf, raw[f], f)
+            raise DocumentError(f"required {_ROLES[len(letters)]} field missing", f)
+        data[f] = _DECODERS[len(letters)](sf, raw[f], f)
     grid = raw.get("grid")
     verify = raw.get("verify")
     for name, section in (("grid", grid), ("verify", verify)):
@@ -136,14 +112,9 @@ def load_document(path) -> ProblemDocument:
 
 
 def document_to_dict(doc: ProblemDocument) -> dict:
-    pk = PROBLEM_KINDS[doc.kind]
     out = {"semifield": doc.semifield.tag, "kind": doc.kind}
-    for f in pk.matrix_fields:
-        out[f] = encode_matrix(doc.data[f])
-    for f in pk.vector_fields:
-        out[f] = encode_vector(doc.data[f])
-    for f in pk.scalar_fields:
-        out[f] = encode_scalar(doc.data[f])
+    for f, letters in PROBLEM_KINDS[doc.kind].shapes.items():
+        out[f] = _ENCODERS[len(letters)](doc.data[f])
     if doc.grid is not None:
         out["grid"] = doc.grid
     if doc.verify is not None:
@@ -159,32 +130,6 @@ def dumps(obj: dict) -> str:
 # ----------------------------------------------------------------------
 # reports
 
-def _encode_solution(sol) -> dict | None:
-    if sol is None:
-        return None
-    if isinstance(sol, BoxSolutionSet):
-        return {"type": "box",
-                "lower": encode_vector(sol.lower),
-                "upper": encode_vector(sol.upper)}
-    if isinstance(sol, GeneratedSolutionSet):
-        return {"type": "generated",
-                "generator": encode_matrix(sol.generator),
-                "lower": encode_vector(sol.lower),
-                "upper": encode_vector(sol.upper)}
-    if isinstance(sol, RaySolution):
-        return {"type": "ray", "direction": encode_vector(sol.direction)}
-    if isinstance(sol, ComponentwiseFamily):
-        return {"type": "componentwise",
-                "pinned_index": sol.pinned_index,
-                "pinned_value": encode_scalar(sol.pinned_value),
-                "upper_bounds": [None if b is None else encode_scalar(b)
-                                 for b in sol.upper_bounds],
-                "support_index": sol.support_index,
-                "tied_pinned_indices": list(sol.tied_pinned_indices),
-                "generator": encode_matrix(sol.generator)}
-    raise TypeError(f"cannot encode solution {sol!r}")
-
-
 def report_to_dict(report: OptimumReport, sf: Semifield) -> dict:
     return {"schema": REPORT_SCHEMA,
             "semifield": sf.tag,
@@ -192,7 +137,7 @@ def report_to_dict(report: OptimumReport, sf: Semifield) -> dict:
             "status": report.status,
             "optimum": encode_scalar(report.optimum),
             "reason": report.reason,
-            "solution": _encode_solution(report.solution),
+            "solution": None if report.solution is None else report.solution.to_dict(),
             "diagnostics": [[name, ok] for name, ok in report.diagnostics]}
 
 

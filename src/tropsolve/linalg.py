@@ -265,37 +265,6 @@ def is_regular_vector(x: Matrix) -> bool:
     return all(not s.is_zero for r in x.data for s in r)
 
 
-# ----------------------------------------------------------------------
-# named operations
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def scal_mul(x: Scalar, a: Matrix) -> Matrix:
-    return x * a
-
-
-def conj_transpose(a: Matrix) -> Matrix:
-    return a.conj()
-
-
-def trace(a: Matrix) -> Scalar:
-    return a.trace()
-
-
-def mat_power(a: Matrix, p: int) -> Matrix:
-    return a.power(p)
-
-
-def norm(a: Matrix) -> Scalar:
-    return a.norm()
-
-
 def tr_functional(a: Matrix) -> Scalar:
     """Idempotent sum of the traces of A^1 .. A^n.
 
@@ -410,6 +379,29 @@ def kleene_star(a: Matrix) -> StarClosure:
     for i, r in enumerate(cells):
         r[i] = sf.one + r[i]
     return StarClosure(Matrix(sf, tuple(map(tuple, cells))), True)
+
+
+# ----------------------------------------------------------------------
+# JSON form: ``null`` for zero, integers, rational strings ("7/2"), floats
+
+def encode_scalar(s: Scalar | None):
+    if s is None or s.is_zero:
+        return None
+    if isinstance(s.v, Fraction):
+        return int(s.v) if s.v.denominator == 1 else str(s.v)
+    return s.v
+
+
+def encode_vector(v: Matrix | None):
+    if v is None:
+        return None
+    return [encode_scalar(v[i]) for i in range(v.dim)]
+
+
+def encode_matrix(m: Matrix | None):
+    if m is None:
+        return None
+    return [[encode_scalar(s) for s in row] for row in m.data]
 
 
 # ----------------------------------------------------------------------

@@ -2,31 +2,25 @@
 
 Nothing in this module reuses a closed-form solver's algebra: the grid
 search evaluates objectives and constraints pointwise from the problem-kind
-registry, and the cycle-mean spectral radius enumerates simple cycles
-directly.  Determinism contract: identical (instance, grid, seed) inputs
-produce identical results, and grid ties resolve to the lexicographically
-smallest point in carrier order.
+registry, sampled members of a reported solution set are checked the same
+way, and the cycle-mean spectral radius enumerates simple cycles directly.
+Determinism contract: identical (instance, grid, seed) inputs produce
+identical results, and grid ties resolve to the lexicographically smallest
+point in carrier order.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateInputError, GridOverflowError, ShapeError
-from .linalg import Matrix, is_regular_vector
+from .linalg import Matrix
 from .problems import PROBLEM_KINDS
 from .semifield import Scalar, Semifield
-from .solvers import (
-    INFEASIBLE,
-    ComponentwiseFamily,
-    OptimumReport,
-    RaySolution,
-)
-from .systems import BoxSolutionSet, EmptySolutionSet, GeneratedSolutionSet
+from .solvers import INFEASIBLE, OptimumReport
 
 NO_FEASIBLE_POINT = "NO_FEASIBLE_POINT"
 
@@ -34,8 +28,6 @@ DEFAULT_GRID_CAP = 10_000_000
 
 #: Sampling window magnitude in carrier units (one-sided extent).
 DEFAULT_WINDOW = 10
-
-_SAMPLE_DENOM = 16  # denominator of the random interpolation parameters
 
 
 @dataclass(frozen=True)
@@ -158,26 +150,6 @@ def cycle_mean_radius(a: Matrix, max_order: int = 8) -> Scalar:
 # ----------------------------------------------------------------------
 # solution-set sampling
 
-def _window_scalar(sf: Semifield, window) -> Scalar:
-    w = sf.scalar(window)
-    if not sf.one <= w:
-        w = w.inv()
-    return w if sf.one <= w else sf.one
-
-
-def _coord_sample(lo: Scalar | None, hi: Scalar | None, t: Fraction,
-                  w: Scalar, sf: Semifield) -> Scalar:
-    lo_ok = lo is not None and not lo.is_zero
-    hi_ok = hi is not None and not hi.is_zero
-    if lo_ok and hi_ok:
-        return lo * (lo.inv() * hi) ** t
-    if hi_ok:
-        return hi * (w ** t).inv()
-    if lo_ok:
-        return lo * w ** t
-    return sf.one * w ** (2 * t - 1)
-
-
 def sample_solution_set(solution, count: int, seed: int,
                         window=DEFAULT_WINDOW) -> list[Matrix]:
     """Deterministic members of a solution set.
@@ -187,79 +159,7 @@ def sample_solution_set(solution, count: int, seed: int,
     carriers stay in the rationals.  Unbounded directions are explored
     within a window of ``window`` carrier units.
     """
-    if isinstance(solution, EmptySolutionSet) or getattr(solution, "is_empty", False):
-        raise DegenerateInputError("cannot sample an empty solution set")
-    rng = random.Random(seed)
-    t_rand = lambda: Fraction(rng.randint(0, _SAMPLE_DENOM), _SAMPLE_DENOM)
-
-    if isinstance(solution, BoxSolutionSet):
-        sf = (solution.lower or solution.upper).sf
-        w = _window_scalar(sf, window)
-        out = []
-        for bound in (solution.lower, solution.upper):
-            if bound is not None and is_regular_vector(bound) and len(out) < count:
-                out.append(bound)
-        n = (solution.lower or solution.upper).dim
-        while len(out) < count:
-            out.append(Matrix(sf, tuple(
-                (_coord_sample(
-                    solution.lower[i] if solution.lower is not None else None,
-                    solution.upper[i] if solution.upper is not None else None,
-                    t_rand(), w, sf),)
-                for i in range(n))))
-        return out
-
-    if isinstance(solution, GeneratedSolutionSet):
-        sf = solution.generator.sf
-        w = _window_scalar(sf, window)
-        n = solution.generator.cols
-        us = []
-        for bound in (solution.lower, solution.upper):
-            if bound is not None and is_regular_vector(bound) and len(us) < count:
-                us.append(bound)
-        while len(us) < count:
-            us.append(Matrix(sf, tuple(
-                (_coord_sample(
-                    solution.lower[i] if solution.lower is not None else None,
-                    solution.upper[i] if solution.upper is not None else None,
-                    t_rand(), w, sf),)
-                for i in range(n))))
-        return [solution.generator @ u for u in us]
-
-    if isinstance(solution, RaySolution):
-        sf = solution.direction.sf
-        w = _window_scalar(sf, window)
-        alphas = [sf.one]
-        while len(alphas) < count:
-            alphas.append(sf.one * w ** (2 * t_rand() - 1))
-        return [alpha * solution.direction for alpha in alphas]
-
-    if isinstance(solution, ComponentwiseFamily):
-        if any(b is None for i, b in enumerate(solution.upper_bounds)
-               if i != solution.pinned_index):
-            raise DegenerateInputError(
-                "family has unbounded coordinates; cannot sample")
-        sf = solution.pinned_value.sf
-        w = _window_scalar(sf, window)
-        k = solution.pinned_index
-        out = []
-        first = True
-        while len(out) < count:
-            alpha = sf.one if first else sf.one * w ** (2 * t_rand() - 1)
-            entries = []
-            for j, b in enumerate(solution.upper_bounds):
-                if j == k:
-                    entries.append(alpha * solution.pinned_value)
-                else:
-                    cap = alpha * b
-                    entries.append(cap if first else cap * (w ** t_rand()).inv())
-            first = False
-            u = Matrix(sf, tuple((e,) for e in entries))
-            out.append(u if solution.generator is None
-                       else solution.generator @ u)
-        return out
-
-    raise TypeError(f"cannot sample {solution!r}")
+    return solution.sample(count, seed, window)
 
 
 # ----------------------------------------------------------------------
@@ -282,30 +182,7 @@ class VerificationReport:
 
 def anchor_member(report: OptimumReport) -> Matrix:
     """One exact, regular, optimum-attaining member of the reported set."""
-    sol = report.solution
-    if isinstance(sol, BoxSolutionSet):
-        for bound in (sol.lower, sol.upper):
-            if bound is not None and is_regular_vector(bound):
-                return bound
-        raise DegenerateInputError("box has no regular bound to anchor on")
-    if isinstance(sol, GeneratedSolutionSet):
-        if sol.upper is not None and is_regular_vector(sol.upper):
-            u = sol.upper
-        else:
-            ones = Matrix.ones(sol.generator.sf, sol.generator.cols, 1)
-            u = ones if sol.lower is None else sol.lower + ones
-        return sol.generator @ u
-    if isinstance(sol, RaySolution):
-        return sol.direction
-    if isinstance(sol, ComponentwiseFamily):
-        sf = sol.pinned_value.sf
-        entries = [sol.pinned_value if j == sol.pinned_index else b
-                   for j, b in enumerate(sol.upper_bounds)]
-        if any(e is None for e in entries):
-            raise DegenerateInputError("family has unbounded coordinates")
-        u = Matrix(sf, tuple((e,) for e in entries))
-        return u if sol.generator is None else sol.generator @ u
-    raise TypeError(f"no anchor for {sol!r}")
+    return report.solution.anchor()
 
 
 def default_step(n: int) -> Fraction:

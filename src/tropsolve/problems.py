@@ -1,9 +1,12 @@
-"""Problem-kind registry: the objective and feasibility semantics of each
-solver kind, stated independently of the closed forms.
+"""Problem-kind registry: the one table of per-kind facts.
 
-The oracle evaluates these definitions pointwise during grid search and when
-re-checking sampled solution-set members, so a bug in a solver formula cannot
-hide behind itself.  The CLI uses the field lists for document validation.
+Each :class:`ProblemKind` names its inputs with their declared shapes, its
+closed-form solver, and the objective and feasibility semantics of the
+problem, stated independently of the closed forms.  :func:`solvers.solve`
+checks shapes and dispatches through this table, the document reader and
+writer walk its shapes, and the oracle evaluates the semantics pointwise
+during grid search and when re-checking sampled solution-set members, so a
+bug in a solver formula cannot hide behind itself.
 """
 
 from __future__ import annotations
@@ -11,24 +14,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from . import solvers
+from .errors import ShapeError
 from .linalg import Matrix, ones_vector
 from .semifield import Scalar
 
 
 @dataclass(frozen=True)
 class ProblemKind:
+    """One problem kind.
+
+    ``shapes`` maps each input name, in the solver's argument order, to its
+    dimension letters: two letters for a matrix (rows, columns), one for a
+    column vector, none for a scalar.  Equal letters must bind to equal
+    sizes, and ``n`` is the dimension of the unknown x.
+    """
+
     kind: str
     sense: str  # "min" | "max"
-    matrix_fields: tuple[str, ...]
-    vector_fields: tuple[str, ...]
-    scalar_fields: tuple[str, ...]
-    dim: Callable[[dict], int]
+    shapes: dict[str, str]
+    solver: Callable[..., solvers.OptimumReport]
     objective: Callable[[dict, Matrix], Scalar]
     feasible: Callable[[dict, Matrix], bool]
 
     @property
     def fields(self) -> tuple[str, ...]:
-        return self.matrix_fields + self.vector_fields + self.scalar_fields
+        return tuple(self.shapes)
+
+    def dim(self, data: dict) -> int:
+        """Check every input against its declared shape and return ``n``.
+
+        Each letter takes its size from the first input that has it; a
+        :class:`ShapeError` names the first input that disagrees, and the
+        input that set the size.
+        """
+        sizes: dict[str, tuple[int, str]] = {}  # letter -> (size, set by)
+        for name, letters in self.shapes.items():
+            if not letters:
+                continue
+            shape = data[name].shape
+            if len(letters) == 1 and shape[1] != 1:
+                raise ShapeError(f"{name} must be a column vector, got shape {shape}")
+            for letter, size in zip(letters, shape):
+                bound, source = sizes.setdefault(letter, (size, name))
+                if size != bound:
+                    raise ShapeError(f"{name} has shape {shape}, which does not "
+                                     f"fit {letter} = {bound} (set by {source})")
+        return sizes["n"][0]
 
 
 def _val(m: Matrix) -> Scalar:
@@ -94,111 +126,91 @@ def _two_constraints_feasible(data, x):
             and (data["C"] @ x) <= data["h"])
 
 
-PROBLEM_KINDS: dict[str, ProblemKind] = {}
-
-
-def _register(pk: ProblemKind) -> None:
-    PROBLEM_KINDS[pk.kind] = pk
-
-
-_register(ProblemKind(
-    "cheb_box", "min", (), ("p", "q", "g", "h"), (),
-    dim=lambda d: d["p"].dim,
-    objective=_cheb_objective,
-    feasible=_box_feasible))
-
-_register(ProblemKind(
-    "cheb_image_lower", "min", ("A",), ("p", "q", "g"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_cheb_image_objective,
-    feasible=lambda d, x: d["g"] <= x))
-
-_register(ProblemKind(
-    "cheb_kleene_box", "min", ("B",), ("p", "q", "g", "h"), (),
-    dim=lambda d: d["B"].cols,
-    objective=_cheb_objective,
-    feasible=lambda d, x: (d["B"] @ x) + d["g"] <= x and x <= d["h"]))
-
-_register(ProblemKind(
-    "cheb_kleene", "min", ("B",), ("p", "q"), (),
-    dim=lambda d: d["B"].cols,
-    objective=_cheb_objective,
-    feasible=_recursion_cap_feasible("B")))
-
-_register(ProblemKind(
-    "span_min", "min", ("A", "B"), ("p", "q"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_span_objective,
-    feasible=_unconstrained))
-
-_register(ProblemKind(
-    "span_min_special", "min", ("A",), (), (),
-    dim=lambda d: d["A"].cols,
-    objective=lambda d, x: _span_of(d["A"] @ x),
-    feasible=_unconstrained))
-
-_register(ProblemKind(
-    "span_min_constrained", "min", ("C", "D"), (), (),
-    dim=lambda d: d["C"].cols,
-    objective=lambda d, x: _span_of(d["C"] @ x),
-    feasible=_recursion_cap_feasible("D")))
-
-_register(ProblemKind(
-    "span_max", "max", ("A", "B"), ("p", "q"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_span_objective,
-    feasible=_unconstrained))
-
-_register(ProblemKind(
-    "span_max_norm", "max", ("A", "B"), (), (),
-    dim=lambda d: d["A"].cols,
-    objective=lambda d, x: (d["B"] @ x).norm() * (d["A"] @ x).conj().norm(),
-    feasible=_unconstrained))
-
-_register(ProblemKind(
-    "span_max_constrained", "max", ("A", "B", "C"), ("p", "q"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_span_objective,
-    feasible=_recursion_cap_feasible("C")))
-
-_register(ProblemKind(
-    "rayleigh", "min", ("A",), (), (),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_objective,
-    feasible=_unconstrained))
-
-_register(ProblemKind(
-    "rayleigh_affine", "min", ("A",), ("p", "q"), ("r",),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_affine_objective,
-    feasible=_unconstrained))
-
-_register(ProblemKind(
-    "rayleigh_two_constraints", "min", ("A", "B", "C"), ("g", "h"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_objective,
-    feasible=_two_constraints_feasible))
-
-_register(ProblemKind(
-    "rayleigh_lower", "min", ("A", "B"), ("g",), (),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_objective,
-    feasible=_sub_fixpoint_feasible("B")))
-
-_register(ProblemKind(
-    "rayleigh_box", "min", ("A",), ("g", "h"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_objective,
-    feasible=_box_feasible))
-
-_register(ProblemKind(
-    "rayleigh_p_lower", "min", ("A", "B"), ("p", "g"), (),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_p_objective,
-    feasible=_sub_fixpoint_feasible("B")))
-
-_register(ProblemKind(
-    "new_boxed_spectral", "min", ("A",), ("p", "q", "g", "h"), ("r",),
-    dim=lambda d: d["A"].cols,
-    objective=_rayleigh_affine_objective,
-    feasible=_box_feasible))
+PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
+    ProblemKind(
+        "cheb_box", "min", {"p": "n", "q": "n", "g": "n", "h": "n"},
+        solvers.solve_cheb_box,
+        objective=_cheb_objective,
+        feasible=_box_feasible),
+    ProblemKind(
+        "cheb_image_lower", "min", {"A": "mn", "p": "m", "q": "m", "g": "n"},
+        solvers.solve_cheb_image_lower,
+        objective=_cheb_image_objective,
+        feasible=lambda d, x: d["g"] <= x),
+    ProblemKind(
+        "cheb_kleene_box", "min", {"B": "nn", "p": "n", "q": "n", "g": "n", "h": "n"},
+        solvers.solve_cheb_kleene_box,
+        objective=_cheb_objective,
+        feasible=lambda d, x: (d["B"] @ x) + d["g"] <= x and x <= d["h"]),
+    ProblemKind(
+        "cheb_kleene", "min", {"B": "nn", "p": "n", "q": "n"},
+        solvers.solve_cheb_kleene,
+        objective=_cheb_objective,
+        feasible=_recursion_cap_feasible("B")),
+    ProblemKind(
+        "span_min", "min", {"A": "mn", "B": "mn", "p": "m", "q": "m"},
+        solvers.solve_span_min,
+        objective=_span_objective,
+        feasible=_unconstrained),
+    ProblemKind(
+        "span_min_special", "min", {"A": "mn"}, solvers.solve_span_min_special,
+        objective=lambda d, x: _span_of(d["A"] @ x),
+        feasible=_unconstrained),
+    ProblemKind(
+        "span_min_constrained", "min", {"C": "nn", "D": "nn"},
+        solvers.solve_span_min_constrained,
+        objective=lambda d, x: _span_of(d["C"] @ x),
+        feasible=_recursion_cap_feasible("D")),
+    ProblemKind(
+        "span_max", "max", {"A": "mn", "B": "kn", "p": "m", "q": "k"},
+        solvers.solve_span_max,
+        objective=_span_objective,
+        feasible=_unconstrained),
+    ProblemKind(
+        "span_max_norm", "max", {"A": "mn", "B": "kn"},
+        solvers.solve_span_max_norm,
+        objective=lambda d, x: (d["B"] @ x).norm() * (d["A"] @ x).conj().norm(),
+        feasible=_unconstrained),
+    ProblemKind(
+        "span_max_constrained", "max",
+        {"A": "mn", "B": "kn", "C": "nn", "p": "m", "q": "k"},
+        solvers.solve_span_max_constrained,
+        objective=_span_objective,
+        feasible=_recursion_cap_feasible("C")),
+    ProblemKind(
+        "rayleigh", "min", {"A": "nn"}, solvers.solve_rayleigh,
+        objective=_rayleigh_objective,
+        feasible=_unconstrained),
+    ProblemKind(
+        "rayleigh_affine", "min", {"A": "nn", "p": "n", "q": "n", "r": ""},
+        solvers.solve_rayleigh_affine,
+        objective=_rayleigh_affine_objective,
+        feasible=_unconstrained),
+    ProblemKind(
+        "rayleigh_two_constraints", "min",
+        {"A": "nn", "B": "nn", "C": "kn", "g": "n", "h": "k"},
+        solvers.solve_rayleigh_two_constraints,
+        objective=_rayleigh_objective,
+        feasible=_two_constraints_feasible),
+    ProblemKind(
+        "rayleigh_lower", "min", {"A": "nn", "B": "nn", "g": "n"},
+        solvers.solve_rayleigh_lower,
+        objective=_rayleigh_objective,
+        feasible=_sub_fixpoint_feasible("B")),
+    ProblemKind(
+        "rayleigh_box", "min", {"A": "nn", "g": "n", "h": "n"},
+        solvers.solve_rayleigh_box,
+        objective=_rayleigh_objective,
+        feasible=_box_feasible),
+    ProblemKind(
+        "rayleigh_p_lower", "min", {"A": "nn", "B": "nn", "p": "n", "g": "n"},
+        solvers.solve_rayleigh_p_lower,
+        objective=_rayleigh_p_objective,
+        feasible=_sub_fixpoint_feasible("B")),
+    ProblemKind(
+        "new_boxed_spectral", "min", 
+        {"A": "nn", "p": "n", "q": "n", "g": "n", "h": "n", "r": ""},
+        solvers.solve_new_boxed_spectral,
+        objective=_rayleigh_affine_objective,
+        feasible=_box_feasible),
+)}

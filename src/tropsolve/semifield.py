@@ -244,27 +244,3 @@ SEMIFIELDS = {
     sf.tag: sf for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
 }
 
-
-def oplus(a: Scalar, b: Scalar) -> Scalar:
-    """Idempotent addition."""
-    return a + b
-
-
-def otimes(a: Scalar, b: Scalar) -> Scalar:
-    """Group multiplication (zero is absorbing)."""
-    return a * b
-
-
-def inverse(a: Scalar) -> Scalar:
-    """Multiplicative inverse of a nonzero scalar."""
-    return a.inv()
-
-
-def power(a: Scalar, exponent) -> Scalar:
-    """Rational power; exact on additive carriers."""
-    return a ** exponent
-
-
-def leq(a: Scalar, b: Scalar) -> bool:
-    """The total order induced by addition: a <= b iff a + b == b."""
-    return a <= b

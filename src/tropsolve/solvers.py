@@ -6,11 +6,14 @@ Every solver validates its stated preconditions eagerly.  Structural defects
 one, incompatible bounds) produces an infeasible report with a
 machine-readable reason.  A result that breaks an invariant of its own
 closed form raises :class:`InvariantError`.  An optimal report carries the
-exact optimum and an object describing the complete solution set, except
-where a solver is documented to return a single attaining point.
+exact optimum and one of the solution types of :mod:`tropsolve.systems`,
+describing the complete solution set, except where a solver is documented
+to return a single attaining point.
 
-Solvers are addressed by stable kind identifiers through :data:`SOLVERS` and
-:func:`solve`.
+Solvers are addressed by stable kind identifiers through :func:`solve`,
+which checks every input against the shapes declared in
+:data:`tropsolve.problems.PROBLEM_KINDS` before it calls the solver; the
+solvers themselves assume conforming shapes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InvariantError, PreconditionError, ShapeError
+from .errors import InvariantError, PreconditionError
 from .linalg import (
     Matrix,
     is_regular_vector,
@@ -31,40 +34,15 @@ from .systems import (
     INFEASIBLE_BOX,
     NO_REGULAR_SOLUTION,
     BoxSolutionSet,
+    ComponentwiseFamily,
     GeneratedSolutionSet,
+    RaySolution,
 )
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class RaySolution:
-    """All positive multiples of one regular direction vector."""
-
-    direction: Matrix
-
-
-@dataclass(frozen=True)
-class ComponentwiseFamily:
-    """Solutions with one pinned coordinate and per-coordinate caps.
-
-    Members are ``x`` with ``x[k] = alpha * pinned_value`` and
-    ``x[j] <= alpha * upper_bounds[j]`` for ``j != k``, over all scales
-    ``alpha > zero``.  ``tied_pinned_indices`` lists every index achieving
-    the pin criterion (the family is reported for the first; completeness
-    under ties is not claimed).  When ``generator`` is present the family
-    lives in an auxiliary variable ``u`` and members are ``x = generator @ u``.
-    """
-
-    pinned_index: int
-    pinned_value: Scalar
-    upper_bounds: tuple[Scalar | None, ...]
-    support_index: int
-    tied_pinned_indices: tuple[int, ...]
-    generator: Matrix | None = None
 
 
 @dataclass(frozen=True)
@@ -97,24 +75,13 @@ def _gate(cond: bool, name: str, diags: list) -> bool:
 
 def _optimal(kind: str, optimum: Scalar, solution, diags: list) -> OptimumReport:
     # an explicit check, not an assert: ``python -O`` strips asserts
-    if getattr(solution, "is_empty", False):
+    if solution.is_empty:
         raise InvariantError(f"{kind}: empty solution set at the optimum")
     return OptimumReport(kind, OPTIMAL, optimum, solution, None, tuple(diags))
 
 
 def _infeasible(kind: str, reason: str, diags: list) -> OptimumReport:
     return OptimumReport(kind, INFEASIBLE, None, None, reason, tuple(diags))
-
-
-def _expect_vec(x: Matrix, n: int, name: str) -> None:
-    if x.cols != 1 or x.rows != n:
-        raise ShapeError(f"{name} must be a column vector of dim {n}, got {x.shape}")
-
-
-def _expect_square(a: Matrix, name: str) -> int:
-    if a.rows != a.cols:
-        raise ShapeError(f"{name} must be square, got {a.shape}")
-    return a.rows
 
 
 def _argbest(values: list[Scalar]) -> tuple[int, tuple[int, ...]]:
@@ -156,10 +123,6 @@ def solve_cheb_box(p: Matrix, q: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
     a box whose bounds are returned exactly.
     """
     kind = "cheb_box"
-    n = p.dim
-    _expect_vec(q, n, "q")
-    _expect_vec(g, n, "g")
-    _expect_vec(h, n, "h")
     diags: list = []
     _require(is_regular_vector(p), "p regular", diags)
     _require(is_regular_vector(q), "q regular", diags)
@@ -179,10 +142,6 @@ def solve_cheb_image_lower(a: Matrix, p: Matrix, q: Matrix, g: Matrix) -> Optimu
     set may be larger, which the diagnostics flag.
     """
     kind = "cheb_image_lower"
-    m, n = a.shape
-    _expect_vec(p, m, "p")
-    _expect_vec(q, m, "q")
-    _expect_vec(g, n, "g")
     diags: list = []
     _require(a.is_regular(), "A regular", diags)
     _require(is_regular_vector(p), "p regular", diags)
@@ -198,9 +157,6 @@ def solve_cheb_kleene_box(b: Matrix, p: Matrix, q: Matrix,
                           g: Matrix, h: Matrix) -> OptimumReport:
     """Minimize ``x- p + q- x`` subject to ``B x + g <= x`` and ``x <= h``."""
     kind = "cheb_kleene_box"
-    n = _expect_square(b, "B")
-    for v, name in ((p, "p"), (q, "q"), (g, "g"), (h, "h")):
-        _expect_vec(v, n, name)
     diags: list = []
     _require(not p.is_zero, "p nonzero", diags)
     _require(is_regular_vector(q), "q regular", diags)
@@ -223,9 +179,6 @@ def solve_cheb_kleene_box(b: Matrix, p: Matrix, q: Matrix,
 def solve_cheb_kleene(b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
     """Minimize ``x- p + q- x`` subject to ``B x <= x``."""
     kind = "cheb_kleene"
-    n = _expect_square(b, "B")
-    _expect_vec(p, n, "p")
-    _expect_vec(q, n, "q")
     diags: list = []
     _require(not p.is_zero, "p nonzero", diags)
     _require(is_regular_vector(q), "q regular", diags)
@@ -246,11 +199,6 @@ def solve_cheb_kleene(b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
 def solve_span_min(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
     """Minimize ``q- B x (A x)- p``; the minimizers form a single ray."""
     kind = "span_min"
-    m, n = a.shape
-    if b.shape != (m, n):
-        raise ShapeError(f"B must match A's shape {(m, n)}, got {b.shape}")
-    _expect_vec(p, m, "p")
-    _expect_vec(q, m, "q")
     diags: list = []
     _require(a.is_row_regular(), "A row-regular", diags)
     _require(b.is_col_regular(), "B column-regular", diags)
@@ -274,9 +222,6 @@ def solve_span_min_special(a: Matrix) -> OptimumReport:
 def solve_span_min_constrained(c: Matrix, d: Matrix) -> OptimumReport:
     """Minimize the span of ``C x`` subject to ``D x <= x``."""
     kind = "span_min_constrained"
-    n = _expect_square(c, "C")
-    if d.shape != (n, n):
-        raise ShapeError(f"D must be {n}x{n}, got {d.shape}")
     diags: list = []
     _require(c.is_regular(), "C regular", diags)
     closure = kleene_star(d)
@@ -284,8 +229,8 @@ def solve_span_min_constrained(c: Matrix, d: Matrix) -> OptimumReport:
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
     ds = closure.matrix
     m = c @ ds
-    w = (Matrix.ones(c.sf, 1, n) @ m).conj()
-    delta = _val((m @ w).conj() @ ones_vector(c.sf, n))
+    w = (Matrix.ones(c.sf, 1, c.rows) @ m).conj()
+    delta = _val((m @ w).conj() @ ones_vector(c.sf, c.rows))
     return _optimal(kind, delta, RaySolution(ds @ w), diags)
 
 
@@ -298,10 +243,6 @@ def solve_span_max(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
     """
     kind = "span_max"
     m, n = a.shape
-    if b.cols != n:
-        raise ShapeError(f"B must have {n} columns, got {b.shape}")
-    _expect_vec(p, m, "p")
-    _expect_vec(q, b.rows, "q")
     diags: list = []
     _require(a.has_regular_columns(), "A has regular columns", diags)
     _require(b.is_col_regular(), "B column-regular", diags)
@@ -338,9 +279,6 @@ def solve_span_max_constrained(a: Matrix, b: Matrix, c: Matrix,
     ``u`` together with the generator mapping back to ``x``.
     """
     kind = "span_max_constrained"
-    n = a.cols
-    if c.shape != (n, n):
-        raise ShapeError(f"C must be {n}x{n}, got {c.shape}")
     diags: list = []
     closure = kleene_star(c)
     if not _gate(closure.closure_valid, "Tr(C) <= one", diags):
@@ -358,7 +296,6 @@ def solve_span_max_constrained(a: Matrix, b: Matrix, c: Matrix,
 def solve_rayleigh(a: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` over regular x; the optimum is the spectral radius."""
     kind = "rayleigh"
-    _expect_square(a, "A")
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -369,9 +306,6 @@ def solve_rayleigh(a: Matrix) -> OptimumReport:
 def solve_rayleigh_affine(a: Matrix, p: Matrix, q: Matrix, r: Scalar) -> OptimumReport:
     """Minimize ``x- A x + x- p + q- x + r`` over regular x."""
     kind = "rayleigh_affine"
-    n = _expect_square(a, "A")
-    _expect_vec(p, n, "p")
-    _expect_vec(q, n, "q")
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -379,7 +313,7 @@ def solve_rayleigh_affine(a: Matrix, p: Matrix, q: Matrix, r: Scalar) -> Optimum
     mu = lam + r
     qc = q.conj()
     v = p  # A^(m-1) p
-    for m in range(1, n + 1):
+    for m in range(1, a.rows + 1):
         if m > 1:
             v = a @ v
         mu = mu + _val(qc @ v) ** Fraction(1, m + 1)
@@ -437,13 +371,7 @@ def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
     An all-zero C (vacuous cap) is accepted and drops the upper bound.
     """
     kind = "rayleigh_two_constraints"
-    n = _expect_square(a, "A")
-    if b.shape != (n, n):
-        raise ShapeError(f"B must be {n}x{n}, got {b.shape}")
-    if c.cols != n:
-        raise ShapeError(f"C must have {n} columns, got {c.shape}")
-    _expect_vec(g, n, "g")
-    _expect_vec(h, c.rows, "h")
+    n = a.rows
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -471,10 +399,6 @@ def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
 def solve_rayleigh_lower(a: Matrix, b: Matrix, g: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` subject to ``B x + g <= x``."""
     kind = "rayleigh_lower"
-    n = _expect_square(a, "A")
-    if b.shape != (n, n):
-        raise ShapeError(f"B must be {n}x{n}, got {b.shape}")
-    _expect_vec(g, n, "g")
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -488,9 +412,6 @@ def solve_rayleigh_lower(a: Matrix, b: Matrix, g: Matrix) -> OptimumReport:
 def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` over the box ``g <= x <= h``."""
     kind = "rayleigh_box"
-    n = _expect_square(a, "A")
-    _expect_vec(g, n, "g")
-    _expect_vec(h, n, "h")
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -499,7 +420,7 @@ def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
         return _infeasible(kind, INFEASIBLE_BOX, diags)
     theta = lam
     hc, v = h.conj(), g  # A^k g
-    for k in range(1, n + 1):
+    for k in range(1, a.rows + 1):
         v = a @ v
         theta = theta + _val(hc @ v) ** Fraction(1, k)
     gen = (theta.inv() * a).star()
@@ -511,11 +432,6 @@ def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
 def solve_rayleigh_p_lower(a: Matrix, b: Matrix, p: Matrix, g: Matrix) -> OptimumReport:
     """Minimize ``x- A x + x- p`` subject to ``B x + g <= x``."""
     kind = "rayleigh_p_lower"
-    n = _expect_square(a, "A")
-    if b.shape != (n, n):
-        raise ShapeError(f"B must be {n}x{n}, got {b.shape}")
-    _expect_vec(p, n, "p")
-    _expect_vec(g, n, "g")
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -531,9 +447,6 @@ def solve_new_boxed_spectral(a: Matrix, p: Matrix, q: Matrix, g: Matrix,
                              h: Matrix, r: Scalar) -> OptimumReport:
     """Minimize ``x- A x + x- p + q- x + r`` over the box ``g <= x <= h``."""
     kind = "new_boxed_spectral"
-    n = _expect_square(a, "A")
-    for v, name in ((p, "p"), (q, "q"), (g, "g"), (h, "h")):
-        _expect_vec(v, n, name)
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -544,7 +457,7 @@ def solve_new_boxed_spectral(a: Matrix, p: Matrix, q: Matrix, g: Matrix,
     qc, hc = q.conj(), h.conj()
     ap, ag = p, g  # A^m p and A^m g
     mu = lam + r
-    for m in range(n):
+    for m in range(a.rows):
         if m >= 1:
             ap, ag = a @ ap, a @ ag
         mu = mu + _val(qc @ ap) ** Fraction(1, m + 2)
@@ -563,35 +476,15 @@ def solve_new_boxed_spectral(a: Matrix, p: Matrix, q: Matrix, g: Matrix,
 # ----------------------------------------------------------------------
 # dispatch by stable kind identifier
 
-SOLVERS = {
-    "cheb_box": (solve_cheb_box, ("p", "q", "g", "h")),
-    "cheb_image_lower": (solve_cheb_image_lower, ("A", "p", "q", "g")),
-    "cheb_kleene_box": (solve_cheb_kleene_box, ("B", "p", "q", "g", "h")),
-    "cheb_kleene": (solve_cheb_kleene, ("B", "p", "q")),
-    "span_min": (solve_span_min, ("A", "B", "p", "q")),
-    "span_min_special": (solve_span_min_special, ("A",)),
-    "span_min_constrained": (solve_span_min_constrained, ("C", "D")),
-    "span_max": (solve_span_max, ("A", "B", "p", "q")),
-    "span_max_norm": (solve_span_max_norm, ("A", "B")),
-    "span_max_constrained": (solve_span_max_constrained, ("A", "B", "C", "p", "q")),
-    "rayleigh": (solve_rayleigh, ("A",)),
-    "rayleigh_affine": (solve_rayleigh_affine, ("A", "p", "q", "r")),
-    "rayleigh_two_constraints": (
-        solve_rayleigh_two_constraints, ("A", "B", "C", "g", "h")),
-    "rayleigh_lower": (solve_rayleigh_lower, ("A", "B", "g")),
-    "rayleigh_box": (solve_rayleigh_box, ("A", "g", "h")),
-    "rayleigh_p_lower": (solve_rayleigh_p_lower, ("A", "B", "p", "g")),
-    "new_boxed_spectral": (
-        solve_new_boxed_spectral, ("A", "p", "q", "g", "h", "r")),
-}
-
-
 def solve(kind: str, **data) -> OptimumReport:
-    """Dispatch to a solver by its kind identifier."""
-    if kind not in SOLVERS:
+    """Check the inputs against the kind's declared shapes, then call its
+    solver."""
+    from .problems import PROBLEM_KINDS  # the registry imports this module
+    if kind not in PROBLEM_KINDS:
         raise KeyError(f"unknown problem kind {kind!r}")
-    fn, fields = SOLVERS[kind]
-    missing = [f for f in fields if f not in data]
+    pk = PROBLEM_KINDS[kind]
+    missing = [f for f in pk.shapes if f not in data]
     if missing:
         raise TypeError(f"{kind} needs fields {missing}")
-    return fn(*(data[f] for f in fields))
+    pk.dim(data)
+    return pk.solver(*(data[f] for f in pk.shapes))

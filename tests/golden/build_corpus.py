@@ -1,10 +1,19 @@
-"""Write the golden report corpus that ``tests/test_golden.py`` checks.
+"""Write the golden output corpus that ``tests/test_golden.py`` checks.
 
-Each entry holds a seeded problem document and the report that
-``tropsolve solve --json`` printed for it: every problem kind on every
-carrier at n = 3 and n = 7 (n = 3 only for the exponential
-``rayleigh_two_constraints``).  Regenerate only when a report change is
-intended, and say in the change log why the bytes moved::
+Three files, one entry per CLI run:
+
+* ``solve_reports.json``: a seeded problem document and the report that
+  ``tropsolve solve --json`` printed for it, for every problem kind on every
+  carrier at n = 3 and n = 7 (n = 3 only for the exponential
+  ``rayleigh_two_constraints``);
+* ``solve_texts.json``: the human-readable ``tropsolve solve`` output and
+  exit code for each of those documents;
+* ``verify_reports.json``: a document and its ``tropsolve verify --json``
+  report and exit code, for every kind on both additive carriers at n = 3,
+  one document per seed in ``VERIFY_SEEDS``.
+
+Regenerate only when an output change is intended, and say in the change
+log why the bytes moved::
 
     PYTHONPATH=src python tests/golden/build_corpus.py
 """
@@ -28,8 +37,12 @@ SEED = 11
 SIZES = (3, 7)
 #: kinds whose solver enumerates exponentially many terms in n
 SMALL_ONLY = ("rayleigh_two_constraints",)
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "solve_reports.json")
+VERIFY_SEEDS = (11, 12, 13)
+VERIFY_N = 3
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "solve_reports.json")
+TEXTS = os.path.join(HERE, "solve_texts.json")
+VERIFY = os.path.join(HERE, "verify_reports.json")
 
 
 def cases():
@@ -42,45 +55,90 @@ def cases():
                 yield kind, tag, n
 
 
-def document(kind: str, tag: str, n: int) -> dict:
+def verify_cases():
+    """(kind, semifield tag, seed) for every verify entry, in file order."""
+    for kind in sorted(PROBLEM_KINDS):
+        for tag in sorted(SEMIFIELDS):
+            if SEMIFIELDS[tag].additive:
+                for seed in VERIFY_SEEDS:
+                    yield kind, tag, seed
+
+
+def document(kind: str, tag: str, n: int, seed: int = SEED) -> dict:
     sf = SEMIFIELDS[tag]
     return document_to_dict(
-        ProblemDocument(sf, kind, generate(kind, n, SEED, sf=sf)))
+        ProblemDocument(sf, kind, generate(kind, n, seed, sf=sf)))
 
 
-def solve_json(doc: dict) -> str:
-    """stdout of ``tropsolve solve --json`` on the document."""
+def run_cli(doc: dict, *args: str) -> tuple[str, int]:
+    """stdout and exit code of ``tropsolve <args[0]> FILE <args[1:]>`` on
+    the document."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "problem.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dumps(doc))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            main(["solve", path, "--json"])
-    return out.getvalue()
+            code = main([args[0], path, *args[1:]])
+    return out.getvalue(), code
+
+
+def solve_json(doc: dict) -> str:
+    """stdout of ``tropsolve solve --json`` on the document."""
+    return run_cli(doc, "solve", "--json")[0]
+
+
+def _parsed(text: str, label: str) -> dict:
+    report = json.loads(text)
+    # the stored object re-encodes to exactly the printed bytes
+    if dumps(report) != text:
+        raise RuntimeError(f"{label}: report does not round-trip")
+    return report
 
 
 def build() -> list[dict]:
     entries = []
     for kind, tag, n in cases():
         doc = document(kind, tag, n)
-        text = solve_json(doc)
-        report = json.loads(text)
-        # the stored object re-encodes to exactly the printed bytes
-        if dumps(report) != text:
-            raise RuntimeError(f"{kind}/{tag}/{n}: report does not round-trip")
+        report = _parsed(solve_json(doc), f"{kind}/{tag}/{n}")
         entries.append({"kind": kind, "semifield": tag, "n": n, "seed": SEED,
                         "document": doc, "report": report})
     return entries
 
 
-def main_build() -> None:
-    entries = build()
+def build_texts() -> list[dict]:
+    entries = []
+    for kind, tag, n in cases():
+        text, code = run_cli(document(kind, tag, n), "solve")
+        entries.append({"kind": kind, "semifield": tag, "n": n, "seed": SEED,
+                        "exit": code, "text": text})
+    return entries
+
+
+def build_verify() -> list[dict]:
+    entries = []
+    for kind, tag, seed in verify_cases():
+        doc = document(kind, tag, VERIFY_N, seed)
+        text, code = run_cli(doc, "verify", "--json")
+        report = _parsed(text, f"{kind}/{tag}/seed {seed}")
+        entries.append({"kind": kind, "semifield": tag, "n": VERIFY_N,
+                        "seed": seed, "document": doc, "exit": code,
+                        "report": report})
+    return entries
+
+
+def write(path: str, entries: list[dict]) -> None:
     lines = [json.dumps(e, sort_keys=True, separators=(",", ":"))
              for e in entries]
-    with open(CORPUS, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n" + ",\n".join(lines) + "\n]\n")
-    sys.stdout.write(f"wrote {len(entries)} entries to {CORPUS}\n")
+    sys.stdout.write(f"wrote {len(entries)} entries to {path}\n")
+
+
+def main_build() -> None:
+    write(CORPUS, build())
+    write(TEXTS, build_texts())
+    write(VERIFY, build_verify())
 
 
 if __name__ == "__main__":

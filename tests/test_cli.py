@@ -147,3 +147,32 @@ def test_algebra_commands(tmp_path):
     rect = tmp_path / "rect.txt"
     rect.write_text("1 2 3\n4 5 6\n")
     assert run("algebra", "spectral", str(rect)).returncode == 1
+
+
+_BAD_INPUTS = {
+    "negative max-times entry": (
+        {"semifield": "max-times", "kind": "rayleigh", "A": [[-1]]},
+        ("solve", "{doc}"), "A[0][0]"),
+    "step that is not a number": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--step", "abc"), "step"),
+    "sample count that is not a number": (
+        {"kind": "rayleigh", "A": [[1]], "verify": {"samples": "x"}},
+        ("verify", "{doc}"), "samples"),
+    "empty generated instance": (None, ("gen", "rayleigh", "-n", "0"), ""),
+    "vector of the wrong size": (
+        {"kind": "cheb_box", "p": [4, 1], "q": [0], "g": [1], "h": [3]},
+        ("solve", "{doc}"), "q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, case):
+    doc, args, named = _BAD_INPUTS[case]
+    path = tmp_path / "doc.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    r = run(*(a.format(doc=path) for a in args))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and named in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,10 +1,13 @@
-"""Golden reports: ``solve --json`` must keep printing the stored bytes.
+"""Golden outputs: the CLI must keep printing the stored bytes.
 
 ``golden/solve_reports.json`` (written by ``golden/build_corpus.py``) holds
-a seeded document and its report for every problem kind on every carrier.
-The stored report object re-encodes with the canonical ``dumps`` to exactly
-the bytes the CLI printed.  Additive carriers must reproduce those bytes;
-multiplicative ones the same structure with every number equal within
+a seeded document and its ``solve --json`` report for every problem kind on
+every carrier; ``golden/solve_texts.json`` the plain ``solve`` text for the
+same documents; ``golden/verify_reports.json`` documents with their
+``verify --json`` reports on the additive carriers.  A stored report object
+re-encodes with the canonical ``dumps`` to exactly the bytes the CLI
+printed.  Additive carriers must reproduce those bytes; multiplicative ones
+the same structure (text: the same tokens) with every number equal within
 ``REL_TOL``, since float results may move in the last bits when a kernel
 changes its order of operations.
 """
@@ -19,8 +22,18 @@ from tropsolve.cli import main
 from tropsolve.fileio import dumps
 from tropsolve.semifield import REL_TOL, SEMIFIELDS
 
-CORPUS = pathlib.Path(__file__).parent / "golden" / "solve_reports.json"
-ENTRIES = json.loads(CORPUS.read_text(encoding="utf-8"))
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _load(name):
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+ENTRIES = _load("solve_reports.json")
+TEXTS = _load("solve_texts.json")
+VERIFY = _load("verify_reports.json")
+DOCUMENTS = {(e["kind"], e["semifield"], e["n"]): e["document"]
+             for e in ENTRIES}
 
 
 def _same_within_tolerance(got, want, path="report"):
@@ -39,21 +52,67 @@ def _same_within_tolerance(got, want, path="report"):
         assert got == want, path
 
 
+def _same_text_within_tolerance(got, want):
+    """Line by line, the same whitespace-separated tokens, with numbers
+    equal within ``REL_TOL`` (column padding may follow a moved digit)."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g_line, w_line in zip(got_lines, want_lines):
+        g_tokens, w_tokens = g_line.split(), w_line.split()
+        assert len(g_tokens) == len(w_tokens), (g_line, w_line)
+        for g, w in zip(g_tokens, w_tokens):
+            try:
+                close = math.isclose(float(g), float(w), rel_tol=REL_TOL)
+            except ValueError:
+                close = g == w
+            assert close, (g_line, w_line)
+
+
+def _run(main_args, document, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(dumps(document), encoding="utf-8")
+    code = main([main_args[0], str(path), *main_args[1:]])
+    return capsys.readouterr().out, code
+
+
 def test_corpus_covers_every_kind_and_carrier():
     from tropsolve.problems import PROBLEM_KINDS
     covered = {(e["kind"], e["semifield"]) for e in ENTRIES}
     assert covered == {(k, s) for k in PROBLEM_KINDS for s in SEMIFIELDS}
+    assert {(e["kind"], e["semifield"], e["n"]) for e in TEXTS} == set(DOCUMENTS)
+    assert {(e["kind"], e["semifield"]) for e in VERIFY} == {
+        (k, s) for k in PROBLEM_KINDS for s in SEMIFIELDS
+        if SEMIFIELDS[s].additive}
 
 
 @pytest.mark.parametrize(
     "entry", ENTRIES,
     ids=[f"{e['kind']}-{e['semifield']}-n{e['n']}" for e in ENTRIES])
 def test_solve_json_matches_golden(entry, tmp_path, capsys):
-    path = tmp_path / "problem.json"
-    path.write_text(dumps(entry["document"]), encoding="utf-8")
-    main(["solve", str(path), "--json"])
-    out = capsys.readouterr().out
+    out, _ = _run(("solve", "--json"), entry["document"], tmp_path, capsys)
     if SEMIFIELDS[entry["semifield"]].additive:
         assert out == dumps(entry["report"])
     else:
         _same_within_tolerance(json.loads(out), entry["report"])
+
+
+@pytest.mark.parametrize(
+    "entry", TEXTS,
+    ids=[f"{e['kind']}-{e['semifield']}-n{e['n']}" for e in TEXTS])
+def test_solve_text_matches_golden(entry, tmp_path, capsys):
+    document = DOCUMENTS[entry["kind"], entry["semifield"], entry["n"]]
+    out, code = _run(("solve",), document, tmp_path, capsys)
+    assert code == entry["exit"]
+    if SEMIFIELDS[entry["semifield"]].additive:
+        assert out == entry["text"]
+    else:
+        _same_text_within_tolerance(out, entry["text"])
+
+
+@pytest.mark.parametrize(
+    "entry", VERIFY,
+    ids=[f"{e['kind']}-{e['semifield']}-seed{e['seed']}" for e in VERIFY])
+def test_verify_json_matches_golden(entry, tmp_path, capsys):
+    out, code = _run(("verify", "--json"), entry["document"], tmp_path, capsys)
+    assert code == entry["exit"]
+    assert out == dumps(entry["report"])

@@ -16,8 +16,6 @@ from tropsolve import (
     format_matrix,
     is_regular_vector,
     kleene_star,
-    mat_power,
-    norm,
     parse_matrix,
     spectral_radius,
     tr_functional,
@@ -80,9 +78,9 @@ def test_trace():
 
 def test_mat_power():
     a = mp([[1, 2], [3, 4]])
-    assert mat_power(a, 0) == Matrix.identity(MAX_PLUS, 2)
-    assert mat_power(a, 2).to_payloads() == [[5, 6], [7, 8]]
-    assert mat_power(a, 1) == a
+    assert a.power(0) == Matrix.identity(MAX_PLUS, 2)
+    assert a.power(2).to_payloads() == [[5, 6], [7, 8]]
+    assert a.power(1) == a
 
 
 def test_tr_functional():
@@ -121,9 +119,9 @@ def test_cycle_mean_radius_oracle():
 
 
 def test_norm():
-    assert norm(vector(MAX_PLUS, [1, 5, 3])).v == 5
-    assert norm(Matrix.zeros(MAX_PLUS, 2, 3)).is_zero
-    assert norm(Matrix.identity(MAX_PLUS, 3)) == MAX_PLUS.one
+    assert vector(MAX_PLUS, [1, 5, 3]).norm().v == 5
+    assert Matrix.zeros(MAX_PLUS, 2, 3).norm().is_zero
+    assert Matrix.identity(MAX_PLUS, 3).norm() == MAX_PLUS.one
 
 
 def test_regularity_predicates():

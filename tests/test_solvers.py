@@ -21,7 +21,7 @@ from tropsolve import (
     Matrix,
     PreconditionError,
     RaySolution,
-    SOLVERS,
+    ShapeError,
     ones_vector,
     sample_solution_set,
     solve,
@@ -446,8 +446,10 @@ def test_new_boxed_spectral_infeasible_box():
 # dispatcher and registry
 
 def test_registry_covers_all_kinds():
-    assert set(SOLVERS) == set(PROBLEM_KINDS)
-    assert len(SOLVERS) == 17
+    assert len(PROBLEM_KINDS) == 17
+    for kind, pk in PROBLEM_KINDS.items():
+        assert pk.kind == kind
+        assert pk.solver is getattr(solvers, f"solve_{kind}")
 
 
 def test_dispatch_errors():
@@ -455,6 +457,37 @@ def test_dispatch_errors():
         solve("no_such_kind")
     with pytest.raises(TypeError):
         solve("rayleigh")  # missing A
+
+
+def _grown(m, axis):
+    """``m`` with its last row (axis 0) or column (axis 1) repeated."""
+    rows = m.to_payloads()
+    rows = rows + rows[-1:] if axis == 0 else [r + r[-1:] for r in rows]
+    return Matrix.from_rows(m.sf, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
+def test_shape_contract(kind):
+    # every size an input shares with another input (or with itself, for a
+    # square matrix) is checked before the solver runs, and the error names
+    # the input; a row vector never passes for a column vector
+    shapes = PROBLEM_KINDS[kind].shapes
+    letters = "".join(shapes.values())
+    data = generate(kind, 3, seed=5)
+    checked = 0
+    for name, dims in shapes.items():
+        for axis, letter in enumerate(dims):
+            if letters.count(letter) < 2:
+                continue  # a free size: any value is well-formed
+            bad = dict(data, **{name: _grown(data[name], axis)})
+            with pytest.raises(ShapeError, match=rf"\b{name}\b"):
+                solve(kind, **bad)
+            checked += 1
+        if len(dims) == 1:
+            row = dict(data, **{name: data[name].transpose()})
+            with pytest.raises(ShapeError, match=rf"^{name} must be a column vector"):
+                solve(kind, **row)
+    assert checked or kind == "span_min_special"  # its one matrix is free
 
 
 # ----------------------------------------------------------------------
