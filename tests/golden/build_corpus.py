@@ -4,8 +4,7 @@ Three files, one entry per CLI run:
 
 * ``solve_reports.json``: a seeded problem document and the report that
   ``tropsolve solve --json`` printed for it, for every problem kind on every
-  carrier at n = 3 and n = 7 (n = 3 only for the exponential
-  ``rayleigh_two_constraints``);
+  carrier at n = 3 and n = 7;
 * ``solve_texts.json``: the human-readable ``tropsolve solve`` output and
   exit code for each of those documents;
 * ``verify_reports.json``: a document and its ``tropsolve verify --json``
@@ -35,8 +34,6 @@ from tropsolve.semifield import SEMIFIELDS
 
 SEED = 11
 SIZES = (3, 7)
-#: kinds whose solver enumerates exponentially many terms in n
-SMALL_ONLY = ("rayleigh_two_constraints",)
 VERIFY_SEEDS = (11, 12, 13)
 VERIFY_N = 3
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -50,8 +47,6 @@ def cases():
     for kind in sorted(PROBLEM_KINDS):
         for tag in sorted(SEMIFIELDS):
             for n in SIZES:
-                if n > SIZES[0] and kind in SMALL_ONLY:
-                    continue
                 yield kind, tag, n
 
 
