@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .errors import DocumentError, GridOverflowError, TropsolveError
+from .errors import (
+    CarrierDomainError,
+    DocumentError,
+    GridOverflowError,
+    TropsolveError,
+)
 from .fileio import (
     ProblemDocument,
     document_to_dict,
@@ -30,7 +34,7 @@ from .oracle import (
     verify_report,
 )
 from .problems import PROBLEM_KINDS
-from .semifield import MAX_PLUS, SEMIFIELDS
+from .semifield import MAX_PLUS, SEMIFIELDS, rational
 from .solvers import INFEASIBLE, solve
 
 EXIT_OK = 0
@@ -73,6 +77,8 @@ def _setting(settings: dict, key: str, parse, default=None):
         return parse(raw)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DocumentError(f"invalid value {raw!r}", key) from exc
+    except CarrierDomainError as exc:
+        raise DocumentError(str(exc), key) from exc
 
 
 def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec | None:
@@ -84,8 +90,8 @@ def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec | None:
     settings = dict(doc.grid or {})
     if args.step is not None:
         settings["step"] = args.step
-    step = _setting(settings, "step", Fraction)
-    margin = _setting(settings, "margin", Fraction)
+    step = _setting(settings, "step", rational)
+    margin = _setting(settings, "margin", rational)
     cap = _setting(settings, "cap", int, DEFAULT_GRID_CAP)
     if report.status == INFEASIBLE:
         return data_span_grid(doc.kind, doc.data, step=step, cap=cap)

@@ -82,7 +82,7 @@ _ENCODERS = (encode_scalar, encode_vector, encode_matrix)
 def parse_document(text: str) -> ProblemDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")

@@ -26,6 +26,30 @@ from .errors import (
 #: Relative tolerance for comparing multiplicative-carrier scalars.
 REL_TOL = 1e-9
 
+#: The most digits a rational literal may spell, counting a decimal
+#: exponent ``e`` as ``|e|`` digits: Python's default limit on int/str
+#: conversion, so a literal's numerator and denominator print back.
+MAX_LITERAL_DIGITS = 4300
+
+
+def rational(value) -> Fraction:
+    """``Fraction(value)`` for a number or a decimal or rational literal.
+
+    A literal that spells more than :data:`MAX_LITERAL_DIGITS` digits
+    raises :class:`CarrierDomainError` before any big integer is built.
+    """
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        size = sum(c.isdecimal() for c in mantissa)
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal():  # else no exponent, or Fraction rejects it
+            size += int(exponent) if len(exponent) < 6 else MAX_LITERAL_DIGITS + 1
+        if size > MAX_LITERAL_DIGITS:
+            raise CarrierDomainError(
+                f"literal spells more than {MAX_LITERAL_DIGITS} digits "
+                f"(counting its decimal exponent)")
+    return Fraction(value)
+
 _ADDITIVE_TAGS = ("max-plus", "min-plus")
 _MULT_TAGS = ("max-times", "min-times")
 
@@ -80,13 +104,13 @@ class Semifield:
             if isinstance(value, int):
                 return Fraction(value)
             if isinstance(value, str):
-                return Fraction(value)
+                return rational(value)
             if isinstance(value, float):
                 # decimal-faithful: 0.25 -> 1/4, not the binary expansion
                 return Fraction(str(value))
             raise CarrierDomainError(
                 f"cannot use {value!r} as a {self.tag} carrier value")
-        out = float(Fraction(value) if isinstance(value, str) else value)
+        out = float(rational(value) if isinstance(value, str) else value)
         if not math.isfinite(out) or out <= 0.0:
             raise CarrierDomainError(
                 f"{self.tag} carrier values must be finite and positive, got {value!r}")
@@ -101,7 +125,10 @@ class Semifield:
         stripped = text.strip()
         if stripped in zero_tokens:
             return self._zero
-        return self.scalar(stripped)
+        try:
+            return self.scalar(stripped)
+        except (ValueError, ArithmeticError, CarrierDomainError) as exc:
+            raise CarrierDomainError(f"{stripped[:40]!r}: {exc}") from exc
 
     def sum(self, scalars) -> Scalar:
         """Idempotent sum of an iterable (zero if empty)."""

@@ -91,28 +91,6 @@ def _argbest(values: list[Scalar]) -> tuple[int, tuple[int, ...]]:
     return ties[0], ties
 
 
-def _weak_compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def _matrix_powers(a: Matrix, top: int) -> list[Matrix]:
-    """[I, A, ..., A^top]."""
-    out = [Matrix.identity(a.sf, a.rows)]
-    for _ in range(top):
-        out.append(out[-1] @ a)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Chebyshev-like approximation under boundary and recursion constraints
 
@@ -324,54 +302,31 @@ def solve_rayleigh_affine(a: Matrix, p: Matrix, q: Matrix, r: Scalar) -> Optimum
     return _optimal(kind, mu, sol, diags)
 
 
-def _span_products_trace_sum(a: Matrix, b: Matrix, k_max: int, min_total: int,
-                             tail: Matrix | None = None) -> Scalar:
-    """Sum over k = 1..k_max and exponent tuples of tr^(1/k) of the chained
-    products of A with powers of B, optionally right-multiplied by `tail`.
+def _theta_lower(a: Matrix, b: Matrix, diags: list) -> Scalar | None:
+    """Optimum of ``x- A x`` under ``B x + g <= x``, or None when a cycle of
+    B weighs more than one.
 
-    For `tail` None the tuples are (i_1..i_k) with min_total <= sum <= n-k;
-    otherwise they are (i_0..i_k) with a leading B^(i_0) factor and
-    0 <= sum <= n-k.  Exponential in n; meant for the n <= 8 range.
+    The optimum is ``lambda(B* A)``: the largest ratio of weight to number
+    of A-edges over the cycles of the digraph of ``A + B``.
     """
-    n = a.rows
-    bp = _matrix_powers(b, n)
-    acc = a.sf.zero
-    for k in range(1, k_max + 1):
-        root = Fraction(1, k)
-        for total in range(min_total, n - k + 1):
-            if tail is not None:
-                for comp in _weak_compositions(total, k + 1):
-                    m = bp[comp[0]]
-                    for t in comp[1:]:
-                        m = m @ a @ bp[t]
-                    acc = acc + (m @ tail).trace() ** root
-            else:
-                for comp in _weak_compositions(total, k):
-                    m = Matrix.identity(a.sf, n)
-                    for t in comp:
-                        m = m @ a @ bp[t]
-                    acc = acc + m.trace() ** root
-    return acc
-
-
-def _theta_lower(a: Matrix, b: Matrix) -> Scalar:
-    """Optimum of the spectral problem under ``B x + g <= x``: the spectral
-    radius joined with trace roots of all A/B interleavings."""
-    return spectral_radius(a) + _span_products_trace_sum(
-        a, b, k_max=a.rows - 1, min_total=1)
+    lam = spectral_radius(a)
+    _require(not lam.is_zero, "spectral radius > zero", diags)
+    closure = kleene_star(b)
+    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
+        return None
+    return spectral_radius(closure.matrix @ a)
 
 
 def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
                                    g: Matrix, h: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` subject to ``B x + g <= x`` and ``C x <= h``.
 
-    The optimum enumerates trace roots of every interleaving of A with
-    powers of B, capped by a rank-one correction for the box side.  The
-    enumeration is exponential in n; n <= 8 is the supported range.
+    The optimum is ``lambda(B* A) + sum_k (h- C (B* A)^k B* g)^(1/k)`` over
+    k = 1..n: the largest weight-to-A-edge ratio over the cycles of the
+    digraph of ``A + B`` with one extra node joined by ``g`` and ``h- C``.
     An all-zero C (vacuous cap) is accepted and drops the upper bound.
     """
     kind = "rayleigh_two_constraints"
-    n = a.rows
     diags: list = []
     lam = spectral_radius(a)
     _require(not lam.is_zero, "spectral radius > zero", diags)
@@ -383,28 +338,30 @@ def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
     if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
     bs = closure.matrix
-    compat = _val(h.conj() @ (c @ (bs @ g)))
-    if not _gate(compat <= a.sf.one, "h- C B* g <= one", diags):
+    v = bs @ g  # (B* A)^k B* g
+    if not _gate(_val(h.conj() @ (c @ v)) <= a.sf.one, "h- C B* g <= one", diags):
         return _infeasible(kind, INFEASIBLE_BOX, diags)
-    cap = Matrix.identity(a.sf, n) + (g @ (h.conj() @ c))
-    theta = _span_products_trace_sum(a, b, k_max=n, min_total=0, tail=cap)
+    hc, bsa = h.conj() @ c, bs @ a
+    theta = spectral_radius(bsa)
+    for k in range(1, a.rows + 1):
+        v = bsa @ v
+        theta = theta + _val(hc @ v) ** Fraction(1, k)
     closure = kleene_star((theta.inv() * a) + b)
     gen = closure.matrix
     diags.append(("Tr(theta^-1 A + B) <= one", closure.closure_valid))
-    upper = None if c_vacuous else ((h.conj() @ c) @ gen).conj()
+    upper = None if c_vacuous else (hc @ gen).conj()
     sol = GeneratedSolutionSet(gen, g, upper)
     return _optimal(kind, theta, sol, diags)
 
 
 def solve_rayleigh_lower(a: Matrix, b: Matrix, g: Matrix) -> OptimumReport:
-    """Minimize ``x- A x`` subject to ``B x + g <= x``."""
+    """Minimize ``x- A x`` subject to ``B x + g <= x``; the optimum is
+    ``lambda(B* A)``."""
     kind = "rayleigh_lower"
     diags: list = []
-    lam = spectral_radius(a)
-    _require(not lam.is_zero, "spectral radius > zero", diags)
-    if not _gate(spectral_radius(b) <= b.sf.one, "Tr(B) <= one", diags):
+    theta = _theta_lower(a, b, diags)
+    if theta is None:
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    theta = _theta_lower(a, b)
     gen = ((theta.inv() * a) + b).star()
     return _optimal(kind, theta, GeneratedSolutionSet(gen, g, None), diags)
 
@@ -430,14 +387,13 @@ def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
 
 
 def solve_rayleigh_p_lower(a: Matrix, b: Matrix, p: Matrix, g: Matrix) -> OptimumReport:
-    """Minimize ``x- A x + x- p`` subject to ``B x + g <= x``."""
+    """Minimize ``x- A x + x- p`` subject to ``B x + g <= x``; the optimum
+    is ``lambda(B* A)``."""
     kind = "rayleigh_p_lower"
     diags: list = []
-    lam = spectral_radius(a)
-    _require(not lam.is_zero, "spectral radius > zero", diags)
-    if not _gate(spectral_radius(b) <= b.sf.one, "Tr(B) <= one", diags):
+    theta = _theta_lower(a, b, diags)
+    if theta is None:
         return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    theta = _theta_lower(a, b)
     gen = ((theta.inv() * a) + b).star()
     lower = (theta.inv() * p) + g
     return _optimal(kind, theta, GeneratedSolutionSet(gen, lower, None), diags)

@@ -2,8 +2,9 @@
 
 ``v -> 2**v`` maps the additive carriers onto the multiplicative ones and
 preserves every order and product relation, so a solved instance must map
-to a solved instance with the image optimum.  The min-carriers reverse
-the order; the same solver code must keep working through the semifield
+to a solved instance with the image optimum.  ``v -> -v`` maps max-plus
+onto min-plus exactly in the same way.  The min-carriers reverse the
+order; the same solver code must keep working through the semifield
 comparisons alone.
 """
 
@@ -17,8 +18,11 @@ from tropsolve import (
     MAX_TIMES,
     MIN_PLUS,
     MIN_TIMES,
+    OPTIMAL,
     GridSpec,
     Matrix,
+    Scalar,
+    TropsolveError,
     cycle_mean_radius,
     grid_search,
     sample_solution_set,
@@ -32,18 +36,67 @@ from tropsolve.problems import PROBLEM_KINDS
 EXP_PAIRS = ((MAX_PLUS, MAX_TIMES), (MIN_PLUS, MIN_TIMES))
 
 
-@pytest.mark.parametrize("kind", ["cheb_box", "rayleigh", "rayleigh_box",
-                                  "span_min", "cheb_kleene"])
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
 def test_exponential_isomorphism_transports_optima(kind):
     rng = random.Random(51)
     for trial in range(15):
         n = rng.randint(1, 3)
         seed = 7000 + trial
-        add_data = generate(kind, n, seed=seed, sf=MAX_PLUS)
-        mul_data = generate(kind, n, seed=seed, sf=MAX_TIMES)
-        add_rep = solve(kind, **add_data)
-        mul_rep = solve(kind, **mul_data)
-        assert mul_rep.optimum == MAX_TIMES.scalar(2.0 ** float(add_rep.optimum.v))
+        for add_sf, mul_sf in EXP_PAIRS:
+            add_rep = solve(kind, **generate(kind, n, seed=seed, sf=add_sf))
+            mul_rep = solve(kind, **generate(kind, n, seed=seed, sf=mul_sf))
+            assert mul_rep.status == add_rep.status
+            assert mul_rep.optimum == mul_sf.scalar(2.0 ** float(add_rep.optimum.v))
+
+
+def _negated(value):
+    """The min-plus image of a max-plus matrix or scalar under ``v -> -v``."""
+    if isinstance(value, Scalar):
+        return MIN_PLUS.scalar(None if value.is_zero else -value.v)
+    return Matrix.from_rows(MIN_PLUS, [[None if v is None else -v for v in r]
+                                       for r in value.to_payloads()])
+
+
+def _outcome(kind, data):
+    """Status, reason, optimum payload and diagnostics, or the error raised."""
+    try:
+        rep = solve(kind, **data)
+    except TropsolveError as exc:
+        return type(exc).__name__, str(exc)
+    optimum = None if rep.optimum is None else rep.optimum.v
+    return rep.status, rep.reason, optimum, rep.diagnostics
+
+
+def _shifted(value, rng):
+    """A copy of a max-plus matrix or scalar with some entries moved by a
+    few units and some set to zero."""
+    def move(v):
+        if rng.random() < 0.1:
+            return None
+        return v if v is None or rng.random() < 0.5 else v + rng.randint(-4, 4)
+    if isinstance(value, Scalar):
+        return MAX_PLUS.scalar(move(value.v))
+    return Matrix.from_rows(MAX_PLUS, [[move(v) for v in r]
+                                       for r in value.to_payloads()])
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
+def test_negation_maps_max_plus_onto_min_plus(kind):
+    """Generated instances and copies with entries shifted or zeroed, so
+    that gates fail and preconditions break as well."""
+    rng = random.Random(56)
+    statuses = set()
+    for trial in range(24):
+        n = rng.randint(1, 4)
+        data = generate(kind, n, seed=7300 + trial, sf=MAX_PLUS)
+        if trial % 2:
+            data = {k: _shifted(v, rng) for k, v in data.items()}
+        want = _outcome(kind, data)
+        if len(want) == 4 and want[2] is not None:
+            want = (*want[:2], -want[2], want[3])
+        assert _outcome(kind, {k: _negated(v) for k, v in data.items()}) == want
+        statuses.add(want[0])
+    assert OPTIMAL in statuses
 
 
 def test_min_plus_rayleigh_is_min_cycle_mean():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -163,6 +164,12 @@ _BAD_INPUTS = {
     "vector of the wrong size": (
         {"kind": "cheb_box", "p": [4, 1], "q": [0], "g": [1], "h": [3]},
         ("solve", "{doc}"), "q"),
+    "literal with a huge exponent": (
+        {"kind": "rayleigh", "A": [["1e1000000000"]]},
+        ("solve", "{doc}"), "A[0][0]"),
+    "grid step with a huge exponent": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--step", "1e1000000000"), "step"),
 }
 
 
@@ -176,3 +183,18 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, case):
     assert r.returncode == 1
     assert r.stderr.startswith("error: ") and named in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("literal", ["1e1000000000", "-1E+1_000_000_000",
+                                     "0.5e-999999999", "1" * 4301])
+def test_oversized_literal_fails_fast(tmp_path, capsys, literal):
+    from tropsolve.cli import main
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"kind": "rayleigh", "A": [[literal, 1], [2, 3]]}))
+    text = tmp_path / "m.txt"
+    text.write_text(f"{literal} 1\n2 3\n")
+    for args in (["solve", str(doc)], ["algebra", "star", str(text)]):
+        start = time.perf_counter()
+        assert main(args) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "4300 digits" in capsys.readouterr().err

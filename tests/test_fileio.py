@@ -64,6 +64,11 @@ def test_parse_document_errors_carry_field_paths():
             "kind": "rayleigh", "A": [[1, 2], [3]]}))
     with pytest.raises(DocumentError, match="invalid JSON"):
         parse_document("{nope")
+    # a JSON integer past Python's int/str digit limit
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        parse_document('{"kind": "rayleigh", "A": [[' + "1" * 5000 + "]]}")
+    with pytest.raises(DocumentError, match=r"p\[0\].*4300 digits"):
+        parse_document(json.dumps({**base, "p": ["4e99999"]}))
 
 
 def test_document_round_trip():

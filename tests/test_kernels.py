@@ -1,11 +1,13 @@
-"""The O(n^3) star and spectral kernels against naive reference kernels.
+"""The polynomial kernels against naive reference kernels.
 
 The references are the definitions the kernels replace: the truncated power
-sum ``I + A + ... + A^(n-1)`` for the star, and the trace roots
-``sum over m of tr(A^m)^(1/m)`` for the spectral radius.  Random matrices
-cover every carrier and n = 1..8, including zero-heavy, acyclic, reducible,
-critical (lambda == one) and hot (lambda > one) ones; the hot ones take the
-star's truncated-sum fallback.  Additive carriers compare exactly, the
+sum ``I + A + ... + A^(n-1)`` for the star, the trace roots
+``sum over m of tr(A^m)^(1/m)`` for the spectral radius, and, for the
+optimum of the constrained spectral kinds, the sum of trace roots over every
+interleaving ``A B^(i_1) ... A B^(i_k)``.  Random matrices cover every
+carrier and n = 1..8, including zero-heavy, acyclic, reducible, critical
+(lambda == one) and hot (lambda > one) ones; the hot ones take the star's
+truncated-sum fallback.  Additive carriers compare exactly, the
 multiplicative ones with ``Scalar ==``.
 """
 
@@ -15,16 +17,22 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import (
+    INFEASIBLE,
+    INFEASIBLE_BOX,
     MAX_PLUS,
     MAX_TIMES,
     MIN_PLUS,
     MIN_TIMES,
+    NO_REGULAR_SOLUTION,
+    OPTIMAL,
     Matrix,
     cycle_mean_radius,
     kleene_star,
+    solve,
     spectral_radius,
     tr_functional,
 )
+from tropsolve.gen import generate
 
 SIBLING = {MAX_TIMES: MAX_PLUS, MIN_TIMES: MIN_PLUS}
 FAMILIES = ("dense", "zero_heavy", "acyclic", "reducible", "critical", "hot")
@@ -149,3 +157,151 @@ def test_spectral_radius_matches_trace_roots_and_cycle_means(sf):
         # every cycle weight <= one, three ways
         assert (lam <= sf.one) == kleene_star(a).closure_valid
 
+
+
+# ----------------------------------------------------------------------
+# the optimum of the constrained spectral kinds
+
+CONSTRAINED_KINDS = ("rayleigh_lower", "rayleigh_p_lower",
+                     "rayleigh_two_constraints")
+#: the enumeration below is exponential; keep it to these orders
+ENUMERATION_MAX_N = 6
+
+
+def weak_compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in weak_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def matrix_powers(a: Matrix, top: int) -> list[Matrix]:
+    """[I, A, ..., A^top]."""
+    out = [Matrix.identity(a.sf, a.rows)]
+    for _ in range(top):
+        out.append(out[-1] @ a)
+    return out
+
+
+def span_products_trace_sum(a: Matrix, b: Matrix, k_max: int, min_total: int,
+                            tail: Matrix | None = None):
+    """Sum over k = 1..k_max and exponent tuples of tr^(1/k) of the chained
+    products of A with powers of B, optionally right-multiplied by `tail`.
+
+    For `tail` None the tuples are (i_1..i_k) with min_total <= sum <= n-k;
+    otherwise they are (i_0..i_k) with a leading B^(i_0) factor and
+    0 <= sum <= n-k.
+    """
+    n = a.rows
+    bp = matrix_powers(b, n)
+    acc = a.sf.zero
+    for k in range(1, k_max + 1):
+        root = Fraction(1, k)
+        for total in range(min_total, n - k + 1):
+            if tail is not None:
+                for comp in weak_compositions(total, k + 1):
+                    m = bp[comp[0]]
+                    for t in comp[1:]:
+                        m = m @ a @ bp[t]
+                    acc = acc + (m @ tail).trace() ** root
+            else:
+                for comp in weak_compositions(total, k):
+                    m = Matrix.identity(a.sf, n)
+                    for t in comp:
+                        m = m @ a @ bp[t]
+                    acc = acc + m.trace() ** root
+    return acc
+
+
+def reference_theta(kind: str, data: dict):
+    """The optimum of a constrained spectral kind as a sum of trace roots
+    over every interleaving of A with powers of B."""
+    a, b = data["A"], data["B"]
+    n = a.rows
+    if kind == "rayleigh_two_constraints":
+        cap = Matrix.identity(a.sf, n) + (data["g"] @ (data["h"].conj() @ data["C"]))
+        return span_products_trace_sum(a, b, k_max=n, min_total=0, tail=cap)
+    return reference_spectral_radius(a) + span_products_trace_sum(
+        a, b, k_max=n - 1, min_total=1)
+
+
+def _above_one(sf, units: Fraction):
+    """The scalar `units` carrier units above one in the order of sf (2**units
+    on the multiplicative carriers)."""
+    v = units if sf.maximizing else -units
+    return sf.scalar(v if sf.additive else 2.0 ** float(v))
+
+
+def _compat(data: dict):
+    """``h- C B* g``, the scalar behind the box gate."""
+    bs = kleene_star(data["B"]).matrix
+    return (data["h"].conj() @ (data["C"] @ (bs @ data["g"]))).item()
+
+
+def constrained_cases():
+    """(kind, label, data) for the three kinds on every carrier, n = 1..6:
+    each generated instance, plus copies with the ``Tr(B)`` gate and (for
+    ``rayleigh_two_constraints``) the ``h- C B* g`` gate exactly at one and
+    just above it, and with a vacuous cap (C zero)."""
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        for kind in CONSTRAINED_KINDS:
+            for n in range(1, ENUMERATION_MAX_N + 1):
+                for seed in (1, 2):
+                    data = generate(kind, n, seed, sf=sf)
+                    yield kind, "generated", data
+                    lam = spectral_radius(data["B"])
+                    if not lam.is_zero:
+                        b = lam.inv() * data["B"]
+                        yield kind, "Tr(B) at one", {**data, "B": b}
+                        yield kind, "Tr(B) above one", {
+                            **data, "B": _above_one(sf, Fraction(1, 64)) * b}
+                    if kind != "rayleigh_two_constraints":
+                        continue
+                    yield kind, "C zero", {**data, "C": Matrix.zeros(sf, n, n)}
+                    compat = _compat(data)
+                    if not compat.is_zero:
+                        g = compat.inv() * data["g"]
+                        yield kind, "h- C B* g at one", {**data, "g": g}
+                        yield kind, "h- C B* g above one", {
+                            **data, "g": _above_one(sf, Fraction(1, 64)) * g}
+
+
+CONSTRAINED_CASES = list(constrained_cases())
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.tag)
+def test_constrained_optimum_matches_enumeration(sf):
+    seen = set()
+    for kind, label, data in CONSTRAINED_CASES:
+        a, b = data["A"], data["B"]
+        if a.sf is not sf:
+            continue
+        rep = solve(kind, **data)
+        seen.add((label, rep.status))
+        b_ok = reference_spectral_radius(b) <= sf.one
+        if not b_ok:
+            assert (rep.status, rep.reason) == (INFEASIBLE, NO_REGULAR_SOLUTION), label
+            continue
+        if kind == "rayleigh_two_constraints" and not _compat(data) <= sf.one:
+            assert (rep.status, rep.reason) == (INFEASIBLE, INFEASIBLE_BOX), label
+            continue
+        assert rep.status == OPTIMAL, (kind, label)
+        want = reference_theta(kind, data)
+        assert rep.optimum == want, (kind, label)
+        if sf.additive:
+            assert rep.optimum.v == want.v
+        bsa = kleene_star(b).matrix @ a
+        assert spectral_radius(bsa) == cycle_mean_radius(bsa)
+    assert seen >= {("generated", OPTIMAL), ("C zero", OPTIMAL),
+                    ("Tr(B) at one", OPTIMAL),
+                    ("Tr(B) above one", INFEASIBLE),
+                    ("h- C B* g at one", OPTIMAL),
+                    ("h- C B* g above one", INFEASIBLE)}

@@ -14,6 +14,7 @@ from tropsolve import (
     TagMismatchError,
     ZeroInversionError,
 )
+from tropsolve.semifield import MAX_LITERAL_DIGITS
 
 ALL = (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
 
@@ -96,6 +97,25 @@ def test_literals_round_trip():
     assert MAX_PLUS.zero.literal(".") == "."
     t = MAX_TIMES.scalar(2.5)
     assert MAX_TIMES.from_literal(t.literal()) == t
+
+
+def test_literal_size_is_bounded():
+    # digits plus the decimal exponent: at most MAX_LITERAL_DIGITS
+    assert MAX_LITERAL_DIGITS == 4300
+    assert MAX_PLUS.scalar("1e4299").v == 10 ** 4299
+    assert MAX_PLUS.scalar("-1.5e-4298").v == F(-15, 10 ** 4299)
+    assert MAX_PLUS.scalar("1" * 4300).v == int("1" * 4300)
+    assert MAX_PLUS.scalar("1e0_0000_0001").v == 10
+    assert MAX_PLUS.scalar(" 3/4 ").v == F(3, 4)
+    for literal in ("1e4300", "1.5e-4299", "1" * 4301, "1e1000000000",
+                    "1E+1_000_000_000", "2/" + "3" * 4300):
+        for sf in ALL:
+            with pytest.raises(CarrierDomainError, match="4300 digits"):
+                sf.scalar(literal)
+    with pytest.raises(CarrierDomainError, match="'abc'"):
+        MAX_PLUS.from_literal("abc")
+    with pytest.raises(CarrierDomainError, match="4300 digits"):
+        MIN_PLUS.from_literal("1e99999")
 
 
 # ----------------------------------------------------------------------

@@ -335,12 +335,44 @@ def test_rayleigh_two_constraints_reductions():
         assert two.optimum == ref.optimum
 
 
+def test_rayleigh_two_constraints_box_term_runs_through_b_paths():
+    # the best cycle through the g / h- C node: g into node 0, A-edge 0 -> 1
+    # (weight 3), B-edges 1 -> 2 -> 3, back through (h- C)_3 = 2.  Its
+    # weight 5 over one A-edge beats the only A-cycle (A_00 = -50).
+    n = 4
+    a = mp([[-50, None, None, None], [3, None, None, None],
+            [None] * n, [None] * n])
+    b = mp([[None] * n, [None] * n, [None, 0, None, None],
+            [None, None, 0, None]])
+    c = mp([[-100 if i == j else None for j in range(n - 1)] + [None]
+            for i in range(n - 1)] + [[None, None, None, 2]])
+    g, h = vec(0, None, None, None), vec(0, 0, 0, 0)
+    rep = solve("rayleigh_two_constraints", A=a, B=b, C=c, g=g, h=h)
+    assert rep.status == OPTIMAL and rep.optimum == MAX_PLUS.scalar(5)
+    _attained("rayleigh_two_constraints", dict(A=a, B=b, C=c, g=g, h=h), rep)
+
+
 def test_rayleigh_two_constraints_oracle():
     data = generate("rayleigh_two_constraints", 2, seed=99)
     rep = solve("rayleigh_two_constraints", **data)
     assert rep.status == OPTIMAL
     _attained("rayleigh_two_constraints", data, rep)
     assert verify_report("rayleigh_two_constraints", data, rep, seed=8).passed
+
+
+@pytest.mark.parametrize("kind", ["rayleigh_lower", "rayleigh_p_lower",
+                                  "rayleigh_two_constraints"])
+def test_constrained_spectral_optimum_takes_linearly_many_products(kind, monkeypatch):
+    """lambda(B* A) and n vector steps, not an enumeration of the
+    interleavings of A with powers of B (about 10^5 of them at n = 16)."""
+    n = 16
+    data = generate(kind, n, seed=5)
+    calls = []
+    product = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: calls.append(1) or product(a, b))
+    assert solve(kind, **data).status == OPTIMAL
+    assert len(calls) <= 5 * n
 
 
 def test_rayleigh_lower_examples():
