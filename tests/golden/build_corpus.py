@@ -11,6 +11,11 @@ Three files, one entry per CLI run:
   report and exit code, for every kind on both additive carriers at n = 3,
   one document per seed in ``VERIFY_SEEDS``.
 
+``BORDER_CASES`` appends seeded n = 3 documents on the additive carriers to
+all three files, chosen so that every input that can move the optimum of a
+spectral kind (``p``, ``q``, ``r``, ``g``, the cap and ``B``) is, on some
+document of each additive carrier, the only way the optimum is attained.
+
 Regenerate only when an output change is intended, and say in the change
 log why the bytes moved::
 
@@ -36,6 +41,20 @@ SEED = 11
 SIZES = (3, 7)
 VERIFY_SEEDS = (11, 12, 13)
 VERIFY_N = 3
+#: (kind, semifield tag, seed) at n = 3, with the inputs that bind there
+BORDER_CASES = (
+    ("new_boxed_spectral", "max-plus", 7),    # p, h
+    ("new_boxed_spectral", "max-plus", 15),   # r
+    ("new_boxed_spectral", "min-plus", 1),    # q, g
+    ("new_boxed_spectral", "min-plus", 47),   # r
+    ("rayleigh_affine", "max-plus", 1),       # p, q
+    ("rayleigh_affine", "max-plus", 10),      # r
+    ("rayleigh_affine", "min-plus", 3),       # r
+    ("rayleigh_affine", "min-plus", 7),       # p, q
+    ("rayleigh_lower", "max-plus", 2),        # B
+    ("rayleigh_p_lower", "max-plus", 2),      # B
+)
+BORDER_N = 3
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "solve_reports.json")
 TEXTS = os.path.join(HERE, "solve_texts.json")
@@ -43,11 +62,13 @@ VERIFY = os.path.join(HERE, "verify_reports.json")
 
 
 def cases():
-    """(kind, semifield tag, n) for every corpus entry, in file order."""
+    """(kind, semifield tag, n, seed) for every corpus entry, in file order."""
     for kind in sorted(PROBLEM_KINDS):
         for tag in sorted(SEMIFIELDS):
             for n in SIZES:
-                yield kind, tag, n
+                yield kind, tag, n, SEED
+    for kind, tag, seed in BORDER_CASES:
+        yield kind, tag, BORDER_N, seed
 
 
 def verify_cases():
@@ -57,6 +78,7 @@ def verify_cases():
             if SEMIFIELDS[tag].additive:
                 for seed in VERIFY_SEEDS:
                     yield kind, tag, seed
+    yield from BORDER_CASES
 
 
 def document(kind: str, tag: str, n: int, seed: int = SEED) -> dict:
@@ -93,19 +115,19 @@ def _parsed(text: str, label: str) -> dict:
 
 def build() -> list[dict]:
     entries = []
-    for kind, tag, n in cases():
-        doc = document(kind, tag, n)
-        report = _parsed(solve_json(doc), f"{kind}/{tag}/{n}")
-        entries.append({"kind": kind, "semifield": tag, "n": n, "seed": SEED,
+    for kind, tag, n, seed in cases():
+        doc = document(kind, tag, n, seed)
+        report = _parsed(solve_json(doc), f"{kind}/{tag}/{n}/seed {seed}")
+        entries.append({"kind": kind, "semifield": tag, "n": n, "seed": seed,
                         "document": doc, "report": report})
     return entries
 
 
 def build_texts() -> list[dict]:
     entries = []
-    for kind, tag, n in cases():
-        text, code = run_cli(document(kind, tag, n), "solve")
-        entries.append({"kind": kind, "semifield": tag, "n": n, "seed": SEED,
+    for kind, tag, n, seed in cases():
+        text, code = run_cli(document(kind, tag, n, seed), "solve")
+        entries.append({"kind": kind, "semifield": tag, "n": n, "seed": seed,
                         "exit": code, "text": text})
     return entries
 

@@ -2,8 +2,9 @@
 
 ``golden/solve_reports.json`` (written by ``golden/build_corpus.py``) holds
 a seeded document and its ``solve --json`` report for every problem kind on
-every carrier; ``golden/solve_texts.json`` the plain ``solve`` text for the
-same documents; ``golden/verify_reports.json`` documents with their
+every carrier, plus border entries on which each input of the spectral
+kinds binds (``build_corpus.BORDER_CASES``); ``golden/solve_texts.json``
+the plain ``solve`` text for the same documents; ``golden/verify_reports.json`` documents with their
 ``verify --json`` reports on the additive carriers.  A stored report object
 re-encodes with the canonical ``dumps`` to exactly the bytes the CLI
 printed.  Additive carriers must reproduce those bytes; multiplicative ones
@@ -32,8 +33,17 @@ def _load(name):
 ENTRIES = _load("solve_reports.json")
 TEXTS = _load("solve_texts.json")
 VERIFY = _load("verify_reports.json")
-DOCUMENTS = {(e["kind"], e["semifield"], e["n"]): e["document"]
+DOCUMENTS = {(e["kind"], e["semifield"], e["n"], e["seed"]): e["document"]
              for e in ENTRIES}
+#: the seed of the entries that cover every kind and carrier
+SEED = 11
+
+
+def _id(entry):
+    """``kind-semifield-n3``, plus ``-seed<s>`` on the appended border
+    entries, whose seed differs."""
+    label = f"{entry['kind']}-{entry['semifield']}-n{entry['n']}"
+    return label if entry["seed"] == SEED else f"{label}-seed{entry['seed']}"
 
 
 def _same_within_tolerance(got, want, path="report"):
@@ -79,7 +89,8 @@ def test_corpus_covers_every_kind_and_carrier():
     from tropsolve.problems import PROBLEM_KINDS
     covered = {(e["kind"], e["semifield"]) for e in ENTRIES}
     assert covered == {(k, s) for k in PROBLEM_KINDS for s in SEMIFIELDS}
-    assert {(e["kind"], e["semifield"], e["n"]) for e in TEXTS} == set(DOCUMENTS)
+    assert {(e["kind"], e["semifield"], e["n"], e["seed"])
+            for e in TEXTS} == set(DOCUMENTS)
     assert {(e["kind"], e["semifield"]) for e in VERIFY} == {
         (k, s) for k in PROBLEM_KINDS for s in SEMIFIELDS
         if SEMIFIELDS[s].additive}
@@ -87,7 +98,7 @@ def test_corpus_covers_every_kind_and_carrier():
 
 @pytest.mark.parametrize(
     "entry", ENTRIES,
-    ids=[f"{e['kind']}-{e['semifield']}-n{e['n']}" for e in ENTRIES])
+    ids=[_id(e) for e in ENTRIES])
 def test_solve_json_matches_golden(entry, tmp_path, capsys):
     out, _ = _run(("solve", "--json"), entry["document"], tmp_path, capsys)
     if SEMIFIELDS[entry["semifield"]].additive:
@@ -98,9 +109,10 @@ def test_solve_json_matches_golden(entry, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entry", TEXTS,
-    ids=[f"{e['kind']}-{e['semifield']}-n{e['n']}" for e in TEXTS])
+    ids=[_id(e) for e in TEXTS])
 def test_solve_text_matches_golden(entry, tmp_path, capsys):
-    document = DOCUMENTS[entry["kind"], entry["semifield"], entry["n"]]
+    document = DOCUMENTS[entry["kind"], entry["semifield"], entry["n"],
+                         entry["seed"]]
     out, code = _run(("solve",), document, tmp_path, capsys)
     assert code == entry["exit"]
     if SEMIFIELDS[entry["semifield"]].additive:

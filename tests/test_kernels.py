@@ -4,13 +4,18 @@ The references are the definitions the kernels replace: the truncated power
 sum ``I + A + ... + A^(n-1)`` for the star, the trace roots
 ``sum over m of tr(A^m)^(1/m)`` for the spectral radius, and, for the
 optimum of the constrained spectral kinds, the sum of trace roots over every
-interleaving ``A B^(i_1) ... A B^(i_k)``.  Random matrices cover every
-carrier and n = 1..8, including zero-heavy, acyclic, reducible, critical
-(lambda == one) and hot (lambda > one) ones; the hot ones take the star's
-truncated-sum fallback.  Additive carriers compare exactly, the
-multiplicative ones with ``Scalar ==``.
+interleaving ``A B^(i_1) ... A B^(i_k)``.  For every kind with a spectral or
+Chebyshev optimum the reference is the generic bordered construction:
+explicit ``U = [[A, p], [q-, r]]`` and ``Z = [[B, g], [cap, zero]]`` on
+n + 1 nodes, then ``kleene_star(Z)``, ``Z* @ U`` and the spectral radius.
+Random matrices cover every carrier and n = 1..8, including zero-heavy,
+acyclic, reducible, critical (lambda == one) and hot (lambda > one) ones;
+the hot ones take the star's truncated-sum fallback.  Additive carriers
+compare exactly, the multiplicative ones with ``Scalar ==``.
 """
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -32,7 +37,9 @@ from tropsolve import (
     spectral_radius,
     tr_functional,
 )
+from tropsolve.fileio import parse_document
 from tropsolve.gen import generate
+from tropsolve.semifield import SEMIFIELDS
 
 SIBLING = {MAX_TIMES: MAX_PLUS, MIN_TIMES: MIN_PLUS}
 FAMILIES = ("dense", "zero_heavy", "acyclic", "reducible", "critical", "hot")
@@ -305,3 +312,142 @@ def test_constrained_optimum_matches_enumeration(sf):
                     ("Tr(B) above one", INFEASIBLE),
                     ("h- C B* g at one", OPTIMAL),
                     ("h- C B* g above one", INFEASIBLE)}
+
+
+# ----------------------------------------------------------------------
+# the bordered optimum of every kind with a spectral or Chebyshev form
+
+#: kinds whose optimum is theta = lambda(Z* U) on n + 1 nodes; the cheb
+#: kinds are its A = 0 case
+BORDERED_KINDS = ("rayleigh", "rayleigh_affine", "rayleigh_box",
+                  "rayleigh_lower", "rayleigh_p_lower",
+                  "rayleigh_two_constraints", "new_boxed_spectral",
+                  "cheb_box", "cheb_kleene", "cheb_kleene_box")
+BORDERED_MAX_N = 6
+
+
+def _bordered(top_left: Matrix, right: Matrix, bottom: Matrix, corner) -> Matrix:
+    """The (n+1) x (n+1) matrix [[top_left, right], [bottom, corner]]."""
+    rows = [top_left.data[i] + right.data[i] for i in range(top_left.rows)]
+    rows.append(bottom.data[0] + (corner,))
+    return Matrix(top_left.sf, tuple(rows))
+
+
+def border_matrices(data: dict, drop=()):
+    """``U = [[A, p], [q-, r]]`` and ``Z = [[B, g], [cap, zero]]``, where
+    ``cap`` is ``h- C``, or ``h-`` for a box; an absent input, or one
+    named in `drop`, is zero (dropping C or h drops the cap)."""
+    data = {k: v for k, v in data.items() if k not in drop}
+    some = next(v for v in data.values() if isinstance(v, Matrix))
+    sf, n = some.sf, some.rows
+    zero_col, zero_row = Matrix.zeros(sf, n, 1), Matrix.zeros(sf, 1, n)
+    q = data["q"].conj() if "q" in data else zero_row
+    if "h" not in data or "C" in drop:
+        cap = zero_row
+    else:
+        cap = data["h"].conj() @ data.get("C", Matrix.identity(sf, n))
+    u = _bordered(data.get("A", Matrix.zeros(sf, n, n)),
+                  data.get("p", zero_col), q, data.get("r", sf.zero))
+    z = _bordered(data.get("B", Matrix.zeros(sf, n, n)),
+                  data.get("g", zero_col), cap, sf.zero)
+    return u, z
+
+
+def reference_bordered(data: dict, drop=()):
+    """``(Z* U, closure_valid)`` by the generic construction: theta is
+    ``spectral_radius(Z* U)`` when every cycle of Z weighs at most one."""
+    u, z = border_matrices(data, drop)
+    closure = kleene_star(z)
+    return closure.matrix @ u, closure.closure_valid
+
+
+def _cap_gate(data: dict):
+    """``cap B* g``: the heaviest cycle of Z through the border node."""
+    _, z = border_matrices(data)
+    n = z.rows - 1
+    bs = kleene_star(data["B"]).matrix if "B" in data else Matrix.identity(z.sf, n)
+    return (Matrix(z.sf, (z.data[n][:n],)) @ bs @ data["g"]).item()
+
+
+def bordered_cases():
+    """(kind, label, data) for the bordered kinds on every carrier, n = 1..6:
+    each generated instance, plus copies with the ``Tr(B)`` gate and the cap
+    gate ``cap B* g`` exactly at one and 1/64 above it."""
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        for kind in BORDERED_KINDS:
+            for n in range(1, BORDERED_MAX_N + 1):
+                for seed in (1, 2):
+                    data = generate(kind, n, seed, sf=sf)
+                    yield kind, "generated", data
+                    lam = spectral_radius(data["B"]) if "B" in data else sf.zero
+                    if not lam.is_zero:
+                        b = lam.inv() * data["B"]
+                        yield kind, "Tr(B) at one", {**data, "B": b}
+                        yield kind, "Tr(B) above one", {
+                            **data, "B": _above_one(sf, Fraction(1, 64)) * b}
+                    compat = _cap_gate(data) if "g" in data and "h" in data else sf.zero
+                    if not compat.is_zero:
+                        g = compat.inv() * data["g"]
+                        yield kind, "cap at one", {**data, "g": g}
+                        yield kind, "cap above one", {
+                            **data, "g": _above_one(sf, Fraction(1, 64)) * g}
+
+
+BORDERED_CASES = list(bordered_cases())
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.tag)
+def test_bordered_optimum_matches_generic_construction(sf):
+    seen = set()
+    for kind, label, data in BORDERED_CASES:
+        if data["p" if "p" in data else "A"].sf is not sf:
+            continue
+        rep = solve(kind, **data)
+        seen.add((label, rep.status))
+        zu, valid = reference_bordered(data)
+        if not valid:
+            assert rep.status == INFEASIBLE, (kind, label)
+            continue
+        assert rep.status == OPTIMAL, (kind, label)
+        want = spectral_radius(zu)
+        assert rep.optimum == want, (kind, label)
+        if sf.additive:
+            assert rep.optimum.v == want.v
+        assert want == cycle_mean_radius(zu)
+    assert seen >= {("generated", OPTIMAL),
+                    ("Tr(B) at one", OPTIMAL), ("Tr(B) above one", INFEASIBLE),
+                    ("cap at one", OPTIMAL), ("cap above one", INFEASIBLE)}
+
+
+#: the inputs that can move theta, per kind: each must bind (be needed to
+#: attain theta) on some golden document of each additive carrier; the
+#: ``*_lower`` kinds have no cap, so their g and p cannot bind
+BORDER_INPUTS = {
+    "rayleigh_affine": ("p", "q", "r"),
+    "rayleigh_box": ("g", "h"),
+    "rayleigh_lower": ("B",),
+    "rayleigh_p_lower": ("B",),
+    "rayleigh_two_constraints": ("B", "g", "C"),
+    "new_boxed_spectral": ("p", "q", "g", "h", "r"),
+}
+
+
+def test_golden_corpus_binds_every_border_input():
+    corpus = pathlib.Path(__file__).parent / "golden" / "solve_reports.json"
+    bound = set()
+    for entry in json.loads(corpus.read_text(encoding="utf-8")):
+        kind, tag = entry["kind"], entry["semifield"]
+        if kind not in BORDER_INPUTS or not SEMIFIELDS[tag].additive:
+            continue
+        data = parse_document(json.dumps(entry["document"])).data
+        zu, valid = reference_bordered(data)
+        if not valid:
+            continue
+        theta = spectral_radius(zu)
+        for name in BORDER_INPUTS[kind]:
+            dropped, _ = reference_bordered(data, drop=(name,))
+            if spectral_radius(dropped) != theta:
+                bound.add((kind, tag, name))
+    assert bound == {(kind, tag, name) for kind, names in BORDER_INPUTS.items()
+                     for tag in ("max-plus", "min-plus") for name in names}
