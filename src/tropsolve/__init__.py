@@ -35,6 +35,7 @@ from .linalg import (
     Matrix,
     StarClosure,
     format_matrix,
+    has_cycle,
     is_regular_vector,
     kleene_star,
     ones_vector,

@@ -34,7 +34,7 @@ from .oracle import (
     verify_report,
 )
 from .problems import PROBLEM_KINDS
-from .semifield import MAX_PLUS, SEMIFIELDS, rational
+from .semifield import MAX_PLUS, SEMIFIELDS, payload_text, rational
 from .solvers import INFEASIBLE, solve
 
 EXIT_OK = 0
@@ -52,19 +52,36 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _print_report(report, sf) -> None:
-    _echo(f"kind: {report.kind}")
-    _echo(f"semifield: {sf.tag}")
-    _echo(f"status: {report.status}")
+def _report_text(report, sf) -> str:
+    lines = [f"kind: {report.kind}", f"semifield: {sf.tag}",
+             f"status: {report.status}"]
     if report.status == INFEASIBLE:
-        _echo(f"reason: {report.reason}")
+        lines.append(f"reason: {report.reason}")
     else:
-        _echo(f"optimum: {report.optimum.literal()}")
-        for line in report.solution.describe():
-            _echo(line)
-    _echo("checks:")
-    for name, ok in report.diagnostics:
-        _echo(f"  [{'ok' if ok else 'FAIL'}] {name}")
+        lines.append(f"optimum: {report.optimum.literal()}")
+        lines.extend(report.solution.describe())
+    lines.append("checks:")
+    lines.extend(f"  [{'ok' if ok else 'FAIL'}] {name}"
+                 for name, ok in report.diagnostics)
+    return "\n".join(lines)
+
+
+def _verification_text(vr) -> str:
+    lines = [f"kind: {vr.kind}", f"solver status: {vr.solver_status}"]
+    if vr.solver_optimum is not None:
+        lines.append(f"solver optimum: {vr.solver_optimum.literal()}")
+    if vr.grid_optimum is not None:
+        lines.append(f"grid optimum: {vr.grid_optimum.literal()} "
+                     f"({vr.grid_points} points)")
+    else:
+        lines.append(f"grid optimum: none feasible ({vr.grid_points} points)")
+    if vr.gap is not None:
+        lines.append(f"gap: {payload_text(vr.gap)}")
+    lines.append(f"samples checked: {vr.samples_checked}"
+                 f" (feasibility failures: {len(vr.feasibility_failures)},"
+                 f" attainment failures: {len(vr.attainment_failures)})")
+    lines.append("verdict: " + ("PASS" if vr.passed else "FAIL"))
+    return "\n".join(lines)
 
 
 def _setting(settings: dict, key: str, parse, default=None):
@@ -105,12 +122,12 @@ def cmd_solve(args) -> int:
     try:
         doc = load_document(args.path)
         report = solve(doc.kind, **doc.data)
+        # the whole output is built before any of it is printed
+        text = (dumps(report_to_dict(report, doc.semifield)) if args.json
+                else _report_text(report, doc.semifield))
     except (OSError, TropsolveError) as exc:
         return _fail(str(exc))
-    if args.json:
-        _echo(dumps(report_to_dict(report, doc.semifield)))
-    else:
-        _print_report(report, doc.semifield)
+    _echo(text)
     return EXIT_OK if report.status != INFEASIBLE else EXIT_INFEASIBLE
 
 
@@ -128,29 +145,14 @@ def cmd_verify(args) -> int:
         grid = _grid_from_settings(doc, report, args)
         vr = verify_report(doc.kind, doc.data, report, grid=grid,
                            samples=samples, seed=seed, window=window)
+        text = (dumps(verification_to_dict(vr, doc.semifield)) if args.json
+                else _verification_text(vr))
     except GridOverflowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
     except (OSError, TropsolveError) as exc:
         return _fail(str(exc))
-    if args.json:
-        _echo(dumps(verification_to_dict(vr, doc.semifield)))
-    else:
-        _echo(f"kind: {vr.kind}")
-        _echo(f"solver status: {vr.solver_status}")
-        if vr.solver_optimum is not None:
-            _echo(f"solver optimum: {vr.solver_optimum.literal()}")
-        if vr.grid_optimum is not None:
-            _echo(f"grid optimum: {vr.grid_optimum.literal()} "
-                  f"({vr.grid_points} points)")
-        else:
-            _echo(f"grid optimum: none feasible ({vr.grid_points} points)")
-        if vr.gap is not None:
-            _echo(f"gap: {vr.gap}")
-        _echo(f"samples checked: {vr.samples_checked}"
-              f" (feasibility failures: {len(vr.feasibility_failures)},"
-              f" attainment failures: {len(vr.attainment_failures)})")
-        _echo("verdict: " + ("PASS" if vr.passed else "FAIL"))
+    _echo(text)
     return EXIT_OK if vr.passed else EXIT_INFEASIBLE
 
 

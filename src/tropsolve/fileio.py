@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CarrierDomainError, DocumentError
-from .linalg import Matrix, encode_matrix, encode_scalar, encode_vector
+from .linalg import Matrix, encode_matrix, encode_payload, encode_scalar, encode_vector
 from .oracle import VerificationReport
 from .problems import PROBLEM_KINDS
 from .semifield import SEMIFIELDS, Scalar, Semifield
@@ -141,14 +140,6 @@ def report_to_dict(report: OptimumReport, sf: Semifield) -> dict:
             "diagnostics": [[name, ok] for name, ok in report.diagnostics]}
 
 
-def _encode_gap(gap):
-    if gap is None:
-        return None
-    if isinstance(gap, Fraction):
-        return int(gap) if gap.denominator == 1 else str(gap)
-    return gap
-
-
 def verification_to_dict(vr: VerificationReport, sf: Semifield) -> dict:
     return {"schema": VERIFY_SCHEMA,
             "semifield": sf.tag,
@@ -157,7 +148,7 @@ def verification_to_dict(vr: VerificationReport, sf: Semifield) -> dict:
             "solver_status": vr.solver_status,
             "solver_optimum": encode_scalar(vr.solver_optimum),
             "grid_optimum": encode_scalar(vr.grid_optimum),
-            "gap": _encode_gap(vr.gap),
+            "gap": None if vr.gap is None else encode_payload(vr.gap),
             "grid_beats_solver": vr.grid_beats_solver,
             "samples_checked": vr.samples_checked,
             "feasibility_failures": list(vr.feasibility_failures),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 
-from .linalg import Matrix, spectral_radius
+from .linalg import Matrix, has_cycle, spectral_radius
 from .problems import PROBLEM_KINDS
 from .semifield import MAX_PLUS, MIN_PLUS, Scalar, Semifield
 
@@ -72,7 +72,7 @@ class _Draw:
         return Matrix.from_rows(self.sf, rows)
 
     def ensure_positive_radius(self, m: Matrix) -> Matrix:
-        if not spectral_radius(m).is_zero:
+        if has_cycle(m):
             return m
         rows = m.to_payloads()
         i = self.rng.randrange(m.rows)
@@ -93,15 +93,10 @@ class _Draw:
         return m.sf.scalar(shift) * m
 
 
-def _lift(h: Matrix, floor: Matrix) -> Matrix:
-    """Raise h entrywise until floor <= h (keeps h regular)."""
-    return h + floor
-
-
 def _build_cheb_box(d: _Draw, n: int) -> dict:
     g = d.vec(n)
     return {"p": d.vec(n, regular=True), "q": d.vec(n, regular=True),
-            "g": g, "h": _lift(d.vec(n, regular=True), g)}
+            "g": g, "h": d.vec(n, regular=True) + g}
 
 
 def _build_cheb_image_lower(d: _Draw, n: int) -> dict:
@@ -113,7 +108,7 @@ def _build_cheb_image_lower(d: _Draw, n: int) -> dict:
 def _build_cheb_kleene_box(d: _Draw, n: int) -> dict:
     b = d.cap_cycles(d.matrix(n, n))
     g = d.vec(n)
-    h = _lift(d.vec(n, regular=True), b.star() @ g)
+    h = d.vec(n, regular=True) + (b.star() @ g)
     return {"B": b, "p": d.nonzero_vec(n), "q": d.vec(n, regular=True),
             "g": g, "h": h}
 
@@ -170,7 +165,7 @@ def _build_rayleigh_two_constraints(d: _Draw, n: int) -> dict:
     b = d.cap_cycles(d.matrix(n, n))
     c = d.patch_cols(d.matrix(n, n))
     g = d.vec(n)
-    h = _lift(d.vec(n, regular=True), c @ (b.star() @ g))
+    h = d.vec(n, regular=True) + c @ (b.star() @ g)
     return {"A": a, "B": b, "C": c, "g": g, "h": h}
 
 
@@ -182,7 +177,7 @@ def _build_rayleigh_lower(d: _Draw, n: int) -> dict:
 def _build_rayleigh_box(d: _Draw, n: int) -> dict:
     g = d.vec(n)
     return {"A": d.ensure_positive_radius(d.matrix(n, n)),
-            "g": g, "h": _lift(d.vec(n, regular=True), g)}
+            "g": g, "h": d.vec(n, regular=True) + g}
 
 
 def _build_rayleigh_p_lower(d: _Draw, n: int) -> dict:
@@ -195,7 +190,7 @@ def _build_new_boxed_spectral(d: _Draw, n: int) -> dict:
     g = d.vec(n)
     return {"A": d.ensure_positive_radius(d.matrix(n, n)),
             "p": d.vec(n), "q": d.vec(n, regular=True),
-            "g": g, "h": _lift(d.vec(n, regular=True), g),
+            "g": g, "h": d.vec(n, regular=True) + g,
             "r": d.sf.scalar(d.entry())}
 
 

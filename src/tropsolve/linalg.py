@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, ShapeError, TagMismatchError
-from .semifield import Scalar, Semifield
+from .semifield import Scalar, Semifield, payload_text
 
 
 class Matrix:
@@ -66,10 +66,6 @@ class Matrix:
         return (self.rows, self.cols)
 
     @property
-    def is_vector(self) -> bool:
-        return self.cols == 1
-
-    @property
     def dim(self) -> int:
         """Length of a column vector."""
         if self.cols != 1:
@@ -86,9 +82,6 @@ class Matrix:
 
     def column(self, j: int) -> Matrix:
         return Matrix(self.sf, tuple((r[j],) for r in self.data))
-
-    def row_vector(self, i: int) -> Matrix:
-        return Matrix(self.sf, (self.data[i],))
 
     def to_payloads(self):
         """Nested lists of carrier values with ``None`` for zeros."""
@@ -281,6 +274,22 @@ def tr_functional(a: Matrix) -> Scalar:
     return acc
 
 
+def has_cycle(a: Matrix) -> bool:
+    """Whether the digraph of A (an edge i -> j for each nonzero entry) has
+    a cycle, i.e. ``spectral_radius(a)`` is nonzero: Kahn's topological sort
+    of the nonzero pattern, O(n^2) with no semifield arithmetic."""
+    a._require_square("cycle test")
+    indegree = [sum(r[j].v is not None for r in a.data) for j in range(a.rows)]
+    ready = [j for j, d in enumerate(indegree) if d == 0]
+    for i in ready:  # grows while it is walked: every node whose edges in are gone
+        for j, s in enumerate(a.data[i]):
+            if s.v is not None:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    ready.append(j)
+    return len(ready) < a.rows
+
+
 def spectral_radius(a: Matrix) -> Scalar:
     """Largest eigenvalue: the extremal cycle mean of the digraph of A.
 
@@ -384,12 +393,16 @@ def kleene_star(a: Matrix) -> StarClosure:
 # ----------------------------------------------------------------------
 # JSON form: ``null`` for zero, integers, rational strings ("7/2"), floats
 
+def encode_payload(v):
+    """A carrier value as JSON: an int, a rational string or a float."""
+    if not isinstance(v, Fraction):
+        return v
+    text = payload_text(v)  # refuses a rational too long to print
+    return v.numerator if v.denominator == 1 else text
+
+
 def encode_scalar(s: Scalar | None):
-    if s is None or s.is_zero:
-        return None
-    if isinstance(s.v, Fraction):
-        return int(s.v) if s.v.denominator == 1 else str(s.v)
-    return s.v
+    return None if s is None or s.is_zero else encode_payload(s.v)
 
 
 def encode_vector(v: Matrix | None):

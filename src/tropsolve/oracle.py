@@ -24,7 +24,8 @@ from .solvers import INFEASIBLE, OptimumReport
 
 NO_FEASIBLE_POINT = "NO_FEASIBLE_POINT"
 
-DEFAULT_GRID_CAP = 10_000_000
+#: Grid points a search may walk unless the grid settings raise the cap.
+DEFAULT_GRID_CAP = 200_000
 
 #: Sampling window magnitude in carrier units (one-sided extent).
 DEFAULT_WINDOW = 10
@@ -96,7 +97,9 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     for ax in axes:
         total *= len(ax)
     if total > grid.cap:
-        raise GridOverflowError(f"{total} grid points exceed the cap {grid.cap}")
+        raise GridOverflowError(
+            f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
+            f"with --step or raise grid.cap in the document")
 
     minimizing = pk.sense == "min"
     feasible = pk.feasible
@@ -152,13 +155,8 @@ def cycle_mean_radius(a: Matrix, max_order: int = 8) -> Scalar:
 
 def sample_solution_set(solution, count: int, seed: int,
                         window=DEFAULT_WINDOW) -> list[Matrix]:
-    """Deterministic members of a solution set.
-
-    Boundary vectors come first when they are regular; the rest are random
-    points, interpolated with exact rational parameters so that additive
-    carriers stay in the rationals.  Unbounded directions are explored
-    within a window of ``window`` carrier units.
-    """
+    """Deterministic members of a solution set, boundary vectors first
+    (see the ``sample`` protocol in :mod:`tropsolve.systems`)."""
     return solution.sample(count, seed, window)
 
 

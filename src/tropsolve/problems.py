@@ -37,10 +37,6 @@ class ProblemKind:
     objective: Callable[[dict, Matrix], Scalar]
     feasible: Callable[[dict, Matrix], bool]
 
-    @property
-    def fields(self) -> tuple[str, ...]:
-        return tuple(self.shapes)
-
     def dim(self, data: dict) -> int:
         """Check every input against its declared shape and return ``n``.
 
@@ -63,46 +59,42 @@ class ProblemKind:
         return sizes["n"][0]
 
 
-def _val(m: Matrix) -> Scalar:
-    return m.item()
-
-
 def _unconstrained(data: dict, x: Matrix) -> bool:
     return True
 
 
 def _cheb_objective(data, x):
-    return _val(data["q"].conj() @ x) + _val(x.conj() @ data["p"])
+    return (data["q"].conj() @ x).item() + (x.conj() @ data["p"]).item()
 
 
 def _cheb_image_objective(data, x):
     ax = data["A"] @ x
-    return _val(data["q"].conj() @ ax) + _val(ax.conj() @ data["p"])
+    return (data["q"].conj() @ ax).item() + (ax.conj() @ data["p"]).item()
 
 
 def _span_objective(data, x):
-    return (_val(data["q"].conj() @ (data["B"] @ x))
-            * _val((data["A"] @ x).conj() @ data["p"]))
+    return ((data["q"].conj() @ (data["B"] @ x)).item()
+            * ((data["A"] @ x).conj() @ data["p"]).item())
 
 
 def _span_of(y: Matrix) -> Scalar:
     ones = ones_vector(y.sf, y.rows)
-    return _val(ones.conj() @ y) * _val(y.conj() @ ones)
+    return (ones.conj() @ y).item() * (y.conj() @ ones).item()
 
 
 def _rayleigh_objective(data, x):
-    return _val(x.conj() @ (data["A"] @ x))
+    return (x.conj() @ (data["A"] @ x)).item()
 
 
 def _rayleigh_affine_objective(data, x):
     return (_rayleigh_objective(data, x)
-            + _val(x.conj() @ data["p"])
-            + _val(data["q"].conj() @ x)
+            + (x.conj() @ data["p"]).item()
+            + (data["q"].conj() @ x).item()
             + data["r"])
 
 
 def _rayleigh_p_objective(data, x):
-    return _rayleigh_objective(data, x) + _val(x.conj() @ data["p"])
+    return _rayleigh_objective(data, x) + (x.conj() @ data["p"]).item()
 
 
 def _box_feasible(data, x):

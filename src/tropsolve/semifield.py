@@ -50,6 +50,18 @@ def rational(value) -> Fraction:
                 f"(counting its decimal exponent)")
     return Fraction(value)
 
+
+def payload_text(value) -> str:
+    """Text of a carrier value (``7/2``, ``-3``, ``2.5``); a rational grown
+    past Python's int/str limit raises :class:`CarrierDomainError`."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise CarrierDomainError(
+            f"a result spells more than {MAX_LITERAL_DIGITS} digits "
+            f"and cannot be printed") from exc
+
+
 _ADDITIVE_TAGS = ("max-plus", "min-plus")
 _MULT_TAGS = ("max-times", "min-times")
 
@@ -168,10 +180,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.v is None
 
-    @property
-    def is_one(self) -> bool:
-        return self.v is not None and self.sf._eq_payload(self.v, self.sf._one.v)
-
     def _check_tag(self, other: Scalar) -> None:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected a Scalar, got {other!r}")
@@ -254,9 +262,7 @@ class Scalar:
         """Text form: `7/2`, `-3`, `2.5`, or the zero token."""
         if self.v is None:
             return zero_token
-        if isinstance(self.v, Fraction):
-            return str(self.v)
-        return repr(self.v)
+        return payload_text(self.v)
 
     def __repr__(self) -> str:
         return f"Scalar({self.literal()}, {self.sf.tag})"

@@ -198,3 +198,45 @@ def test_oversized_literal_fails_fast(tmp_path, capsys, literal):
         assert main(args) == 1
         assert time.perf_counter() - start < 1.0
         assert "4300 digits" in capsys.readouterr().err
+
+
+def _grown_literal_files(tmp_path):
+    """A rayleigh document and a matrix text whose literals are within the
+    4300-digit bound, but whose spectral radius has a denominator of about
+    4400 digits."""
+    a01, a10 = f"1/{10 ** 2199 + 1}", f"1/{10 ** 2199 + 3}"
+    doc = tmp_path / "grown.json"
+    doc.write_text(json.dumps({"kind": "rayleigh", "A": [[None, a01], [a10, None]]}))
+    text = tmp_path / "grown.txt"
+    text.write_text(f". {a01}\n{a10} .\n")
+    return doc, text
+
+
+@pytest.mark.parametrize("args", [("solve",), ("solve", "--json"), ("verify",),
+                                  ("verify", "--json"), ("algebra", "spectral")],
+                         ids=" ".join)
+def test_result_past_the_digit_limit_is_an_error(tmp_path, args):
+    doc, text = _grown_literal_files(tmp_path)
+    if args[0] == "algebra":
+        r = run(*args, str(text))
+    else:
+        r = run(args[0], str(doc), *args[1:])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: a result spells more than 4300 digits and cannot be printed\n"
+
+
+def test_infeasible_verify_stops_at_the_default_grid_cap(tmp_path):
+    # an infeasible cheb_kleene instance (gen seed 1, n = 3, every entry +2):
+    # the data-span grid holds 1,295,029 points, past the default cap
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps({
+        "kind": "cheb_kleene", "B": [[None, -4, 2], [2, -2, None], [None, 1, -5]],
+        "p": [1, 0, -2], "q": [2, -3, -3]}))
+    assert run("solve", str(path)).returncode == 2
+    start = time.perf_counter()
+    r = run("verify", str(path))
+    assert time.perf_counter() - start < 10
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr.startswith("error: 1295029 grid points exceed the cap 200000")
+    assert "--step" in r.stderr and "grid.cap" in r.stderr

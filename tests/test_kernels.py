@@ -32,6 +32,7 @@ from tropsolve import (
     OPTIMAL,
     Matrix,
     cycle_mean_radius,
+    has_cycle,
     kleene_star,
     solve,
     spectral_radius,
@@ -164,6 +165,11 @@ def test_spectral_radius_matches_trace_roots_and_cycle_means(sf):
         # every cycle weight <= one, three ways
         assert (lam <= sf.one) == kleene_star(a).closure_valid
 
+
+def test_cycle_test_agrees_with_spectral_radius():
+    for _, a in CASES:
+        assert has_cycle(a) == (not spectral_radius(a).is_zero)
+    assert sum(has_cycle(a) for _, a in CASES) not in (0, len(CASES))
 
 
 # ----------------------------------------------------------------------

@@ -547,6 +547,19 @@ def test_span_max_column_score_mismatch_raises_invariant_error(monkeypatch):
         solve("span_max", **data)
 
 
+def test_border_cycle_above_one_raises_invariant_error():
+    # the gates keep v w = cap B* g <= one; called past them, the helper
+    # refuses to treat Z* as a closure
+    a, g, h = mp([[0, 1], [1, 0]]), vec(2, 0), vec(1, 1)
+    assert solve("rayleigh_box", A=a, g=g, h=h).status == INFEASIBLE
+    with pytest.raises(InvariantError, match="rayleigh_box: the border cycle"):
+        solvers._bordered_optimum("rayleigh_box", [], a, g=g, cap=h.conj())
+    b = mp([[None, 0], [None, None]])
+    with pytest.raises(InvariantError, match="border cycle weighs Scalar.1,"):
+        solvers._bordered_optimum("rayleigh_two_constraints", [], a, b=b,
+                                  bs=b.star(), g=vec(None, 1), cap=mp([[0, None]]))
+
+
 def test_invariant_checks_survive_python_optimize():
     code = ("from tropsolve import InvariantError, solvers\n"
             "from tropsolve.systems import EmptySolutionSet\n"
