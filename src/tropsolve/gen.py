@@ -165,7 +165,7 @@ def _build_rayleigh_two_constraints(d: _Draw, n: int) -> dict:
     b = d.cap_cycles(d.matrix(n, n))
     c = d.patch_cols(d.matrix(n, n))
     g = d.vec(n)
-    h = d.vec(n, regular=True) + c @ (b.star() @ g)
+    h = d.vec(n, regular=True) + (c @ (b.star() @ g))
     return {"A": a, "B": b, "C": c, "g": g, "h": h}
 
 

@@ -281,7 +281,7 @@ def has_cycle(a: Matrix) -> bool:
     a._require_square("cycle test")
     indegree = [sum(r[j].v is not None for r in a.data) for j in range(a.rows)]
     ready = [j for j, d in enumerate(indegree) if d == 0]
-    for i in ready:  # grows while it is walked: every node whose edges in are gone
+    for i in ready:  # appended to while walked: a node once its in-edges are gone
         for j, s in enumerate(a.data[i]):
             if s.v is not None:
                 indegree[j] -= 1

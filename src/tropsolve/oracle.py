@@ -155,8 +155,13 @@ def cycle_mean_radius(a: Matrix, max_order: int = 8) -> Scalar:
 
 def sample_solution_set(solution, count: int, seed: int,
                         window=DEFAULT_WINDOW) -> list[Matrix]:
-    """Deterministic members of a solution set, boundary vectors first
-    (see the ``sample`` protocol in :mod:`tropsolve.systems`)."""
+    """Deterministic members of a solution set.
+
+    Boundary vectors come first when they are regular; the rest are random
+    points, interpolated with exact rational parameters so that additive
+    carriers stay in the rationals.  Unbounded directions are explored
+    within a window of ``window`` carrier units.
+    """
     return solution.sample(count, seed, window)
 
 

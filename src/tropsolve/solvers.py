@@ -283,17 +283,18 @@ def _bordered_optimum(kind: str, diags: list, a: Matrix, *, b: Matrix | None = N
                       q: Matrix | None = None, r: Scalar | None = None,
                       g: Matrix | None = None, cap: Matrix | None = None,
                       flag: str | None = None) -> OptimumReport:
-    """Optimal report for ``min x- A x + x- p + q- x + r`` subject to
-    ``B x + g <= x`` and ``cap x <= one`` (``cap`` is ``h- C``, or ``h-`` for
-    a box; ``bs`` is ``B*``), once the kind's gates have passed.
+    """Optimal report of ``min x- A x + x- p + q- x + r`` subject to
+    ``B x + g <= x`` and ``cap x <= one`` once the kind's gates have passed
+    (``cap`` is ``h- C``, or ``h-`` for a box; ``bs`` is ``B*``).
 
-    ``theta = lambda(Z* U)`` for ``U = [[A, p], [q-, r]]`` and ``Z = [[B, g],
-    [cap, zero]]`` on n + 1 nodes (an absent input is zero): the largest
-    ratio of weight to U-edges over the cycles of ``U + Z``.  ``Z* = [[B* +
-    w v, w], [v, one]]``, ``w = B* g``, ``v = cap B*``, is a closure since the
-    gates keep ``v w <= one``.  The minimizers are ``G u`` for ``G = (theta^-1
-    A + B)*`` and ``theta^-1 p + g <= u <= ((theta^-1 q- + cap) G)-``; a bound
-    with no input stays None.  ``flag`` names the diagnostic "G is a closure".
+    ``theta = lambda(Z* U)`` on n + 1 nodes, for ``U = [[A, p], [q-, r]]``
+    and ``Z = [[B, g], [cap, zero]]`` with absent inputs zero: the largest
+    ratio of weight to U-edges over the cycles of ``U + Z``.  The gates keep
+    ``v w <= one`` for ``w = B* g``, ``v = cap B*``, so ``Z*`` is the block
+    closure ``[[B* + w v, w], [v, one]]``.  The minimizers are ``G u`` for
+    ``G = (theta^-1 A + B)*``, ``theta^-1 p + g <= u`` and
+    ``u <= ((theta^-1 q- + cap) G)-``; a bound with no input stays None.
+    ``flag`` names the diagnostic that records whether G is a closure.
     """
     sf, n = a.sf, a.rows
     zero_col = Matrix.zeros(sf, n, 1)
@@ -314,8 +315,8 @@ def _bordered_optimum(kind: str, diags: list, a: Matrix, *, b: Matrix | None = N
     if s.is_zero and (y.is_zero or right.is_zero):
         theta = spectral_radius(top)  # the border node is on no cycle
     else:
-        theta = spectral_radius(Matrix(sf, tuple(
-            row + col for row, col in zip(top.data, right.data)) + (y.data[0] + (s,),)))
+        rows = [t + c for t, c in zip(top.data, right.data)] + [y.data[0] + (s,)]
+        theta = spectral_radius(Matrix(sf, tuple(rows)))
     t_inv = theta.inv()
     scaled = t_inv * a if b is None else (t_inv * a) + b
     if flag is None:
