@@ -38,7 +38,6 @@ from .linalg import (
     has_cycle,
     is_regular_vector,
     kleene_star,
-    ones_vector,
     parse_matrix,
     spectral_radius,
     tr_functional,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .errors import (
     CarrierDomainError,
@@ -28,6 +29,7 @@ from .gen import generate
 from .linalg import format_matrix, kleene_star, parse_matrix, spectral_radius, tr_functional
 from .oracle import (
     DEFAULT_GRID_CAP,
+    DEFAULT_WINDOW,
     GridSpec,
     data_span_grid,
     default_grid,
@@ -98,60 +100,68 @@ def _setting(settings: dict, key: str, parse, default=None):
         raise DocumentError(str(exc), key) from exc
 
 
-def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec | None:
-    """Build the verification grid from document settings and flags.
+def _count(raw) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("negative count")
+    return value
 
-    Flags win over the document's grid section.  Returns None to let the
-    verifier center a default grid on the reported solution.
-    """
-    settings = dict(doc.grid or {})
-    if args.step is not None:
-        settings["step"] = args.step
-    step = _setting(settings, "step", rational)
+
+def _step(raw) -> Fraction:
+    value = rational(raw)
+    if value <= 0:
+        raise ValueError("non-positive step")
+    return value
+
+
+def _merged(section: dict | None, args, keys) -> dict:
+    """A settings section of the document with the flags that are set
+    written over it, so that both go through one parse."""
+    settings = dict(section or {})
+    for key in keys:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return settings
+
+
+def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec:
+    """The verification grid from the document's grid section and the
+    ``--step`` flag: the data span for an infeasible report, else a grid
+    centered on the reported solution."""
+    settings = _merged(doc.grid, args, ("step",))
+    step = _setting(settings, "step", _step)
     margin = _setting(settings, "margin", rational)
     cap = _setting(settings, "cap", int, DEFAULT_GRID_CAP)
     if report.status == INFEASIBLE:
         return data_span_grid(doc.kind, doc.data, step=step, cap=cap)
-    if step is None and margin is None and cap == DEFAULT_GRID_CAP:
-        return None
     return default_grid(doc.kind, doc.data, report, step=step,
                         margin=margin, cap=cap)
 
 
+# each command builds its whole output before it prints any of it; main
+# maps the errors to exit codes
+
 def cmd_solve(args) -> int:
-    try:
-        doc = load_document(args.path)
-        report = solve(doc.kind, **doc.data)
-        # the whole output is built before any of it is printed
-        text = (dumps(report_to_dict(report, doc.semifield)) if args.json
-                else _report_text(report, doc.semifield))
-    except (OSError, TropsolveError) as exc:
-        return _fail(str(exc))
+    doc = load_document(args.path)
+    report = solve(doc.kind, **doc.data)
+    text = (dumps(report_to_dict(report, doc.semifield)) if args.json
+            else _report_text(report, doc.semifield))
     _echo(text)
     return EXIT_OK if report.status != INFEASIBLE else EXIT_INFEASIBLE
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = load_document(args.path)
-        report = solve(doc.kind, **doc.data)
-        settings = dict(doc.verify or {})
-        samples = (args.samples if args.samples is not None
-                   else _setting(settings, "samples", int, 20))
-        seed = (args.seed if args.seed is not None
-                else _setting(settings, "seed", int, 0))
-        window = (args.window if args.window is not None
-                  else _setting(settings, "window", doc.semifield.scalar, 10))
-        grid = _grid_from_settings(doc, report, args)
-        vr = verify_report(doc.kind, doc.data, report, grid=grid,
-                           samples=samples, seed=seed, window=window)
-        text = (dumps(verification_to_dict(vr, doc.semifield)) if args.json
-                else _verification_text(vr))
-    except GridOverflowError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except (OSError, TropsolveError) as exc:
-        return _fail(str(exc))
+    doc = load_document(args.path)
+    report = solve(doc.kind, **doc.data)
+    settings = _merged(doc.verify, args, ("samples", "seed", "window"))
+    samples = _setting(settings, "samples", _count, 20)
+    seed = _setting(settings, "seed", int, 0)
+    window = _setting(settings, "window", doc.semifield.scalar, DEFAULT_WINDOW)
+    vr = verify_report(doc.kind, doc.data, report,
+                       grid=_grid_from_settings(doc, report, args),
+                       samples=samples, seed=seed, window=window)
+    text = (dumps(verification_to_dict(vr, doc.semifield)) if args.json
+            else _verification_text(vr))
     _echo(text)
     return EXIT_OK if vr.passed else EXIT_INFEASIBLE
 
@@ -160,40 +170,31 @@ def cmd_gen(args) -> int:
     if args.kind not in PROBLEM_KINDS:
         return _fail(f"unknown problem kind {args.kind!r}")
     sf = SEMIFIELDS[args.semifield]
-    try:
-        data = generate(args.kind, args.size, args.seed, sf=sf)
-        doc = ProblemDocument(sf, args.kind, data)
-        text = dumps(document_to_dict(doc))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            _echo(text)
-    except (OSError, TropsolveError) as exc:
-        return _fail(str(exc))
+    data = generate(args.kind, args.size, args.seed, sf=sf)
+    text = dumps(document_to_dict(ProblemDocument(sf, args.kind, data)))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        _echo(text)
     return EXIT_OK
 
 
 def cmd_algebra(args) -> int:
     sf = SEMIFIELDS[args.semifield]
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            m = parse_matrix(sf, fh.read())
-        if args.operation == "star":
-            closure = kleene_star(m)
-            _echo(format_matrix(closure.matrix))
-            _echo(f"closure_valid: {'yes' if closure.closure_valid else 'no'}")
-        elif args.operation == "spectral":
-            lam = spectral_radius(m)
-            _echo(lam.literal())
-            if lam.is_zero:
-                _echo("note: no nonzero cycle")
-        else:
-            t = tr_functional(m)
-            _echo(t.literal())
-            _echo(f"Tr <= one: {'yes' if t <= sf.one else 'no'}")
-    except (OSError, TropsolveError) as exc:
-        return _fail(str(exc))
+    with open(args.path, "r", encoding="utf-8") as fh:
+        m = parse_matrix(sf, fh.read())
+    if args.operation == "star":
+        closure = kleene_star(m)
+        lines = [format_matrix(closure.matrix),
+                 f"closure_valid: {'yes' if closure.closure_valid else 'no'}"]
+    elif args.operation == "spectral":
+        lam = spectral_radius(m)
+        lines = [lam.literal()] + (["note: no nonzero cycle"] if lam.is_zero else [])
+    else:
+        t = tr_functional(m)
+        lines = [t.literal(), f"Tr <= one: {'yes' if t <= sf.one else 'no'}"]
+    _echo("\n".join(lines))
     return EXIT_OK
 
 
@@ -243,7 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GridOverflowError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_RESOURCE
+    except (OSError, TropsolveError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -216,10 +216,6 @@ class Matrix:
     def is_regular(self) -> bool:
         return self.is_row_regular() and self.is_col_regular()
 
-    def has_regular_columns(self) -> bool:
-        """Every column is a regular vector, i.e. the matrix has no zeros."""
-        return all(not s.is_zero for r in self.data for s in r)
-
     def __le__(self, other: Matrix) -> bool:
         self._check_same(other, "<=")
         if self.shape != other.shape:
@@ -249,12 +245,9 @@ def vector(sf: Semifield, entries) -> Matrix:
     return Matrix.from_rows(sf, [[v] for v in entries])
 
 
-def ones_vector(sf: Semifield, n: int) -> Matrix:
-    return Matrix.ones(sf, n, 1)
-
-
 def is_regular_vector(x: Matrix) -> bool:
-    """No zero entries (the vector sense of regularity)."""
+    """No zero entries: a regular vector, or a matrix whose every column is
+    a regular vector."""
     return all(not s.is_zero for r in x.data for s in r)
 
 
@@ -420,8 +413,8 @@ def encode_matrix(m: Matrix | None):
 # ----------------------------------------------------------------------
 # text form: rows of whitespace-separated literals, '.' or 'null' for zero
 
-def format_matrix(a: Matrix, zero_token: str = ".") -> str:
-    cells = [[s.literal(zero_token) for s in r] for r in a.data]
+def format_matrix(a: Matrix) -> str:
+    cells = [[s.literal(".") for s in r] for r in a.data]
     widths = [max(len(cells[i][j]) for i in range(a.rows)) for j in range(a.cols)]
     return "\n".join(
         "  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)

@@ -30,6 +30,9 @@ DEFAULT_GRID_CAP = 200_000
 #: Sampling window magnitude in carrier units (one-sided extent).
 DEFAULT_WINDOW = 10
 
+#: Largest order whose simple cycles :func:`cycle_mean_radius` enumerates.
+MAX_CYCLE_ORDER = 8
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -118,18 +121,18 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     return GridResult(best is not None, best, argbest, total, n_feasible)
 
 
-def cycle_mean_radius(a: Matrix, max_order: int = 8) -> Scalar:
+def cycle_mean_radius(a: Matrix) -> Scalar:
     """Spectral radius by direct enumeration of simple cycles.
 
     Joins weight^(1/k) over every simple cycle of length k <= n; the zero
     scalar means the digraph of A has no nonzero cycle.  Exhaustive, so
-    the order is capped (default 8).
+    the order is capped at :data:`MAX_CYCLE_ORDER`.
     """
     a._require_square("cycle_mean_radius")
     n = a.rows
-    if n > max_order:
+    if n > MAX_CYCLE_ORDER:
         raise DegenerateInputError(
-            f"cycle enumeration capped at order {max_order}, got {n}")
+            f"cycle enumeration capped at order {MAX_CYCLE_ORDER}, got {n}")
     sf = a.sf
     best = sf.zero
     for size in range(1, n + 1):
@@ -223,9 +226,9 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
 
 
 def data_span_grid(kind: str, data: dict, step: Fraction | None = None,
-                   margin: Fraction = Fraction(1),
                    cap: int = DEFAULT_GRID_CAP) -> GridSpec:
-    """Grid spanning the range of all carrier values in the instance data.
+    """Grid spanning the range of all carrier values in the instance data,
+    widened by one carrier unit on each side.
 
     Used when there is no attaining anchor to center on, e.g. to confirm
     an infeasibility verdict.  Additive carriers only.
@@ -246,7 +249,7 @@ def data_span_grid(kind: str, data: dict, step: Fraction | None = None,
             "data-span grids are defined for additive carriers only")
     if step is None:
         step = default_step(n)
-    lo, hi = min(payloads) - margin, max(payloads) + margin
+    lo, hi = min(payloads) - 1, max(payloads) + 1
     intervals = tuple((sf.scalar(lo), sf.scalar(hi)) for _ in range(n))
     return GridSpec(intervals, sf.scalar(step), cap)
 
@@ -262,13 +265,11 @@ def _carrier_gap(a: Scalar, b: Scalar):
 
 def verify_report(kind: str, data: dict, report: OptimumReport,
                   grid: GridSpec | None = None, samples: int = 20,
-                  seed: int = 0, window=DEFAULT_WINDOW,
-                  tol=None) -> VerificationReport:
+                  seed: int = 0, window=DEFAULT_WINDOW) -> VerificationReport:
     """Cross-check a solver report against sampling and grid search.
 
     Checks: (a) sampled members are feasible, (b) they attain the reported
-    optimum exactly, (c) the grid optimum never beats the reported one and
-    matches it within ``tol`` (exact match when ``tol`` is None).
+    optimum exactly, (c) the grid optimum equals the reported one.
     """
     pk = PROBLEM_KINDS[kind]
 
@@ -300,10 +301,7 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
         gap = _carrier_gap(res.value, report.optimum)
         beats = (res.value < report.optimum if minimizing
                  else report.optimum < res.value)
-        if tol is None:
-            grid_ok = res.value == report.optimum
-        else:
-            grid_ok = not beats and gap <= tol
+        grid_ok = res.value == report.optimum
     passed = not bad_feas and not bad_att and res.found and grid_ok and not beats
     return VerificationReport(
         kind, report.status, report.optimum, res.value, gap, beats,

@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import solvers
 from .errors import ShapeError
-from .linalg import Matrix, ones_vector
+from .linalg import Matrix
 from .semifield import Scalar
 
 
@@ -78,7 +78,7 @@ def _span_objective(data, x):
 
 
 def _span_of(y: Matrix) -> Scalar:
-    ones = ones_vector(y.sf, y.rows)
+    ones = Matrix.ones(y.sf, y.rows, 1)
     return (ones.conj() @ y).item() * (y.conj() @ ones).item()
 
 

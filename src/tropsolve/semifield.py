@@ -132,10 +132,11 @@ class Semifield:
         # fast path for already-validated payloads (internal hot loops)
         return Scalar(self, payload, _token=_TOKEN)
 
-    def from_literal(self, text: str, zero_tokens: tuple[str, ...] = ("null", ".")) -> Scalar:
-        """Parse a scalar literal: decimal or rational text, or a zero token."""
+    def from_literal(self, text: str) -> Scalar:
+        """Parse a scalar literal: decimal or rational text, or the zero
+        token ``null`` or ``.``."""
         stripped = text.strip()
-        if stripped in zero_tokens:
+        if stripped in ("null", "."):
             return self._zero
         try:
             return self.scalar(stripped)

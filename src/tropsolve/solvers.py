@@ -10,9 +10,14 @@ exact optimum and one of the solution types of :mod:`tropsolve.systems`,
 describing the complete solution set, except where a solver is documented
 to return a single attaining point.
 
-The seven kinds with a form ``x- A x`` share one optimum, the bordered
-``theta = lambda(Z* U)`` of :func:`_bordered_optimum`; ``cheb_box``,
-``cheb_kleene`` and ``cheb_kleene_box`` are its ``A = 0`` case, written out.
+The seven kinds with a form ``x- A x`` are each one call of
+:func:`_bordered_optimum`.  It runs their gates in one order, each only when
+its input is present (``spectral radius > zero``, ``C column-regular``,
+``q regular``, ``h regular``, ``Tr(B) <= one``, then the cap gate
+``h- C B* g <= one``, or ``h- g <= one`` for a box), and returns the bordered
+optimum ``theta = lambda(Z* U)``.  ``cheb_box``, ``cheb_kleene`` and
+``cheb_kleene_box`` are its ``A = 0`` case, written out, with their own
+checks on p.
 
 Solvers are addressed by stable kind identifiers through :func:`solve`,
 which checks every input against the shapes declared in
@@ -31,7 +36,6 @@ from .linalg import (
     has_cycle,
     is_regular_vector,
     kleene_star,
-    ones_vector,
     spectral_radius,
 )
 from .semifield import Scalar
@@ -198,7 +202,7 @@ def solve_span_min_special(a: Matrix) -> OptimumReport:
     """Minimize the span of ``A x`` (largest component over smallest)."""
     diags: list = []
     _require(a.is_regular(), "A regular", diags)
-    ones = ones_vector(a.sf, a.rows)
+    ones = Matrix.ones(a.sf, a.rows, 1)
     inner = solve_span_min(a, a, ones, ones)
     return replace(inner, kind="span_min_special",
                    diagnostics=tuple(diags) + inner.diagnostics)
@@ -215,7 +219,7 @@ def solve_span_min_constrained(c: Matrix, d: Matrix) -> OptimumReport:
     ds = closure.matrix
     m = c @ ds
     w = (Matrix.ones(c.sf, 1, c.rows) @ m).conj()
-    delta = ((m @ w).conj() @ ones_vector(c.sf, c.rows)).item()
+    delta = ((m @ w).conj() @ Matrix.ones(c.sf, c.rows, 1)).item()
     return _optimal(kind, delta, RaySolution(ds @ w), diags)
 
 
@@ -229,7 +233,7 @@ def solve_span_max(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
     kind = "span_max"
     m, n = a.shape
     diags: list = []
-    _require(a.has_regular_columns(), "A has regular columns", diags)
+    _require(is_regular_vector(a), "A has regular columns", diags)
     _require(b.is_col_regular(), "B column-regular", diags)
     _require(is_regular_vector(p), "p regular", diags)
     _require(is_regular_vector(q), "q regular", diags)
@@ -250,8 +254,8 @@ def solve_span_max(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
 
 def solve_span_max_norm(a: Matrix, b: Matrix) -> OptimumReport:
     """Maximize ``norm(B x) * norm((A x)-)``; the optimum is ``norm(B A-)``."""
-    inner = solve_span_max(a, b, ones_vector(a.sf, a.rows),
-                           ones_vector(b.sf, b.rows))
+    inner = solve_span_max(a, b, Matrix.ones(a.sf, a.rows, 1),
+                           Matrix.ones(b.sf, b.rows, 1))
     return replace(inner, kind="span_max_norm")
 
 
@@ -278,35 +282,53 @@ def solve_span_max_constrained(a: Matrix, b: Matrix, c: Matrix,
 # ----------------------------------------------------------------------
 # quadratic-form problems built on the spectral radius
 
-def _bordered_optimum(kind: str, diags: list, a: Matrix, *, b: Matrix | None = None,
-                      bs: Matrix | None = None, p: Matrix | None = None,
+def _bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
+                      c: Matrix | None = None, p: Matrix | None = None,
                       q: Matrix | None = None, r: Scalar | None = None,
-                      g: Matrix | None = None, cap: Matrix | None = None,
+                      g: Matrix | None = None, h: Matrix | None = None,
                       flag: str | None = None) -> OptimumReport:
-    """Optimal report of ``min x- A x + x- p + q- x + r`` subject to
-    ``B x + g <= x`` and ``cap x <= one`` once the kind's gates have passed
-    (``cap`` is ``h- C``, or ``h-`` for a box; ``bs`` is ``B*``).
+    """Report on ``min x- A x + x- p + q- x + r`` subject to ``B x + g <= x``
+    and ``C x <= h`` (a box when C is absent), absent inputs being zero.
+
+    The gates run in one order, each only when its input is present:
+    ``spectral radius > zero``, ``C column-regular`` (an all-zero C is a
+    vacuous cap), ``q regular``, ``h regular``, ``Tr(B) <= one``, and the
+    cap gate ``v w <= one`` for ``w = B* g``, ``v = cap B*``, ``cap = h- C``
+    (named ``h- C B* g <= one``, or ``h- g <= one`` for a box).
 
     ``theta = lambda(Z* U)`` on n + 1 nodes, for ``U = [[A, p], [q-, r]]``
-    and ``Z = [[B, g], [cap, zero]]`` with absent inputs zero: the largest
-    ratio of weight to U-edges over the cycles of ``U + Z``.  The gates keep
-    ``v w <= one`` for ``w = B* g``, ``v = cap B*``, so ``Z*`` is the block
+    and ``Z = [[B, g], [cap, zero]]``: the largest ratio of weight to
+    U-edges over the cycles of ``U + Z``.  Past the gates ``Z*`` is the block
     closure ``[[B* + w v, w], [v, one]]``.  The minimizers are ``G u`` for
     ``G = (theta^-1 A + B)*``, ``theta^-1 p + g <= u`` and
     ``u <= ((theta^-1 q- + cap) G)-``; a bound with no input stays None.
     ``flag`` names the diagnostic that records whether G is a closure.
     """
     sf, n = a.sf, a.rows
+    diags: list = []
+    _require(has_cycle(a), "spectral radius > zero", diags)
+    if c is not None and not c.is_zero:
+        _require(c.is_col_regular(), "C column-regular", diags)
+    if q is not None:
+        _require(is_regular_vector(q), "q regular", diags)
+    cap = None
+    if h is not None:
+        _require(is_regular_vector(h), "h regular", diags)
+        cap = h.conj() if c is None else None if c.is_zero else h.conj() @ c
     zero_col = Matrix.zeros(sf, n, 1)
     pz = zero_col if p is None else p
     w = zero_col if g is None else g
     v = Matrix.zeros(sf, 1, n) if cap is None else cap
-    top, right = a, pz
-    if bs is not None:
-        top, right, w, v = bs @ a, bs @ pz, bs @ w, v @ bs
-    vw = (v @ w).item()
-    if not vw <= sf.one:
-        raise InvariantError(f"{kind}: the border cycle weighs {vw!r}, above one")
+    if b is not None:
+        closure = kleene_star(b)
+        if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
+            return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
+        bs = closure.matrix
+        w, v = bs @ w, v @ bs
+    cap_gate = "h- g <= one" if c is None else "h- C B* g <= one"
+    if h is not None and not _gate((v @ w).item() <= sf.one, cap_gate, diags):
+        return _infeasible(kind, INFEASIBLE_BOX, diags)
+    top, right = (a, pz) if b is None else (bs @ a, bs @ pz)
     # Z* U = [[B* A + w y, B* p + w s], [y, s]]
     qc = None if q is None else q.conj()
     y = v @ a if qc is None else (v @ a) + qc
@@ -315,7 +337,7 @@ def _bordered_optimum(kind: str, diags: list, a: Matrix, *, b: Matrix | None = N
     if s.is_zero and (y.is_zero or right.is_zero):
         theta = spectral_radius(top)  # the border node is on no cycle
     else:
-        rows = [t + c for t, c in zip(top.data, right.data)] + [y.data[0] + (s,)]
+        rows = [t + e for t, e in zip(top.data, right.data)] + [y.data[0] + (s,)]
         theta = spectral_radius(Matrix(sf, tuple(rows)))
     t_inv = theta.inv()
     scaled = t_inv * a if b is None else (t_inv * a) + b
@@ -333,17 +355,12 @@ def _bordered_optimum(kind: str, diags: list, a: Matrix, *, b: Matrix | None = N
 
 def solve_rayleigh(a: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` over regular x; the optimum is the spectral radius."""
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    return _bordered_optimum("rayleigh", diags, a)
+    return _bordered_optimum("rayleigh", a)
 
 
 def solve_rayleigh_affine(a: Matrix, p: Matrix, q: Matrix, r: Scalar) -> OptimumReport:
     """Minimize ``x- A x + x- p + q- x + r`` over regular x."""
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    _require(is_regular_vector(q), "q regular", diags)
-    return _bordered_optimum("rayleigh_affine", diags, a, p=p, q=q, r=r)
+    return _bordered_optimum("rayleigh_affine", a, p=p, q=q, r=r)
 
 
 def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
@@ -355,22 +372,7 @@ def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
     one extra node joined by ``g`` and ``h- C``.  An all-zero C (vacuous
     cap) is accepted and drops the upper bound.
     """
-    kind = "rayleigh_two_constraints"
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    c_vacuous = c.is_zero
-    if not c_vacuous:
-        _require(c.is_col_regular(), "C column-regular", diags)
-    _require(is_regular_vector(h), "h regular", diags)
-    closure = kleene_star(b)
-    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
-        return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    bs = closure.matrix
-    if not _gate((h.conj() @ (c @ (bs @ g))).item() <= a.sf.one,
-                 "h- C B* g <= one", diags):
-        return _infeasible(kind, INFEASIBLE_BOX, diags)
-    return _bordered_optimum(kind, diags, a, b=b, bs=bs, g=g,
-                             cap=None if c_vacuous else h.conj() @ c,
+    return _bordered_optimum("rayleigh_two_constraints", a, b=b, c=c, g=g, h=h,
                              flag="Tr(theta^-1 A + B) <= one")
 
 
@@ -378,49 +380,24 @@ def solve_rayleigh_lower(a: Matrix, b: Matrix, g: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` subject to ``B x + g <= x``; the optimum is
     ``lambda(B* A)``, the largest ratio of weight to number of A-edges over
     the cycles of the digraph of ``A + B``."""
-    kind = "rayleigh_lower"
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    closure = kleene_star(b)
-    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
-        return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    return _bordered_optimum(kind, diags, a, b=b, bs=closure.matrix, g=g)
+    return _bordered_optimum("rayleigh_lower", a, b=b, g=g)
 
 
 def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
     """Minimize ``x- A x`` over the box ``g <= x <= h``."""
-    kind = "rayleigh_box"
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    _require(is_regular_vector(h), "h regular", diags)
-    if not _gate((h.conj() @ g).item() <= a.sf.one, "h- g <= one", diags):
-        return _infeasible(kind, INFEASIBLE_BOX, diags)
-    return _bordered_optimum(kind, diags, a, g=g, cap=h.conj())
+    return _bordered_optimum("rayleigh_box", a, g=g, h=h)
 
 
 def solve_rayleigh_p_lower(a: Matrix, b: Matrix, p: Matrix, g: Matrix) -> OptimumReport:
     """Minimize ``x- A x + x- p`` subject to ``B x + g <= x``; the optimum
     is ``lambda(B* A)``, since without a cap no cycle runs through p."""
-    kind = "rayleigh_p_lower"
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    closure = kleene_star(b)
-    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
-        return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    return _bordered_optimum(kind, diags, a, b=b, bs=closure.matrix, p=p, g=g)
+    return _bordered_optimum("rayleigh_p_lower", a, b=b, p=p, g=g)
 
 
 def solve_new_boxed_spectral(a: Matrix, p: Matrix, q: Matrix, g: Matrix,
                              h: Matrix, r: Scalar) -> OptimumReport:
     """Minimize ``x- A x + x- p + q- x + r`` over the box ``g <= x <= h``."""
-    kind = "new_boxed_spectral"
-    diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
-    _require(is_regular_vector(q), "q regular", diags)
-    _require(is_regular_vector(h), "h regular", diags)
-    if not _gate((h.conj() @ g).item() <= a.sf.one, "h- g <= one", diags):
-        return _infeasible(kind, INFEASIBLE_BOX, diags)
-    return _bordered_optimum(kind, diags, a, p=p, q=q, r=r, g=g, cap=h.conj(),
+    return _bordered_optimum("new_boxed_spectral", a, p=p, q=q, r=r, g=g, h=h,
                              flag="Tr(mu^-1 A) <= one")
 
 

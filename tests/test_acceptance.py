@@ -19,7 +19,6 @@ from tropsolve import (
     EmptySolutionSet,
     Matrix,
     cycle_mean_radius,
-    ones_vector,
     principal_solution_leq,
     sample_solution_set,
     solve,
@@ -172,7 +171,7 @@ def test_criterion_5_specialization_lattice():
 
 def test_criterion_6_span_min_identity_value():
     eye = Matrix.identity(MAX_PLUS, 2)
-    ones = ones_vector(MAX_PLUS, 2)
+    ones = Matrix.ones(MAX_PLUS, 2, 1)
     rep = solve("span_min", A=eye, B=eye, p=ones, q=ones)
     ok = rep.optimum == MAX_PLUS.one and rep.solution.direction == ones
     _line(6, "span minimum on identity data is one, attained along the ones ray",

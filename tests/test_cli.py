@@ -170,6 +170,24 @@ _BAD_INPUTS = {
     "grid step with a huge exponent": (
         {"kind": "rayleigh", "A": [[1]]},
         ("verify", "{doc}", "--step", "1e1000000000"), "step"),
+    "window flag that is not a number": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--window", "nan"), "window"),
+    "window flag that is infinite": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--window", "inf"), "window"),
+    "zero step flag": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--step=0"), "step"),
+    "zero step in the document": (
+        {"kind": "rayleigh", "A": [[1]], "grid": {"step": "0"}},
+        ("verify", "{doc}"), "step"),
+    "negative sample count flag": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--samples", "-1"), "samples"),
+    "negative sample count in the document": (
+        {"kind": "rayleigh", "A": [[1]], "verify": {"samples": -3}},
+        ("verify", "{doc}"), "samples"),
 }
 
 

@@ -128,8 +128,8 @@ def test_regularity_predicates():
     assert mp([[1, None], [None, 2]]).is_regular()
     assert not mp([[None, None], [1, 2]]).is_row_regular()
     assert not mp([[None, 1], [None, 2]]).is_col_regular()
-    assert mp([[1, 2], [3, 4]]).has_regular_columns()
-    assert not mp([[1, None], [2, 3]]).has_regular_columns()
+    assert is_regular_vector(mp([[1, 2], [3, 4]]))
+    assert not is_regular_vector(mp([[1, None], [2, 3]]))
     assert is_regular_vector(vector(MAX_PLUS, [1, 2]))
     assert not is_regular_vector(vector(MAX_PLUS, [1, None]))
 

@@ -22,7 +22,6 @@ from tropsolve import (
     PreconditionError,
     RaySolution,
     ShapeError,
-    ones_vector,
     sample_solution_set,
     solve,
     spectral_radius,
@@ -153,7 +152,7 @@ def test_cheb_kleene_agrees_with_loose_box():
 
 def test_span_min_paper_value():
     eye = Matrix.identity(MAX_PLUS, 2)
-    ones = ones_vector(MAX_PLUS, 2)
+    ones = Matrix.ones(MAX_PLUS, 2, 1)
     rep = solve("span_min", A=eye, B=eye, p=ones, q=ones)
     assert rep.optimum == MAX_PLUS.one
     assert isinstance(rep.solution, RaySolution)
@@ -181,7 +180,7 @@ def test_span_min_special_delegates():
     for trial in range(30):
         data = generate("span_min_special", rng.randint(1, 3), seed=600 + trial)
         rep = solve("span_min_special", **data)
-        ones = ones_vector(MAX_PLUS, data["A"].rows)
+        ones = Matrix.ones(MAX_PLUS, data["A"].rows, 1)
         direct = solve("span_min", A=data["A"], B=data["A"], p=ones, q=ones)
         assert rep.optimum == direct.optimum
     eye = Matrix.identity(MAX_PLUS, 3)
@@ -249,8 +248,8 @@ def test_span_max_norm_delegates():
     for trial in range(30):
         data = generate("span_max_norm", rng.randint(1, 3), seed=700 + trial)
         rep = solve("span_max_norm", **data)
-        ones_m = ones_vector(MAX_PLUS, data["A"].rows)
-        ones_l = ones_vector(MAX_PLUS, data["B"].rows)
+        ones_m = Matrix.ones(MAX_PLUS, data["A"].rows, 1)
+        ones_l = Matrix.ones(MAX_PLUS, data["B"].rows, 1)
         direct = solve("span_max", A=data["A"], B=data["B"], p=ones_m, q=ones_l)
         assert rep.optimum == direct.optimum
         assert rep.optimum == (data["B"] @ data["A"].conj()).norm()
@@ -547,17 +546,26 @@ def test_span_max_column_score_mismatch_raises_invariant_error(monkeypatch):
         solve("span_max", **data)
 
 
-def test_border_cycle_above_one_raises_invariant_error():
-    # the gates keep v w = cap B* g <= one; called past them, the helper
-    # refuses to treat Z* as a closure
-    a, g, h = mp([[0, 1], [1, 0]]), vec(2, 0), vec(1, 1)
-    assert solve("rayleigh_box", A=a, g=g, h=h).status == INFEASIBLE
-    with pytest.raises(InvariantError, match="rayleigh_box: the border cycle"):
-        solvers._bordered_optimum("rayleigh_box", [], a, g=g, cap=h.conj())
-    b = mp([[None, 0], [None, None]])
-    with pytest.raises(InvariantError, match="border cycle weighs Scalar.1,"):
-        solvers._bordered_optimum("rayleigh_two_constraints", [], a, b=b,
-                                  bs=b.star(), g=vec(None, 1), cap=mp([[0, None]]))
+@pytest.mark.parametrize("kind", ["rayleigh_box", "new_boxed_spectral",
+                                  "rayleigh_two_constraints"])
+def test_cap_gate_is_the_border_cycle(kind):
+    # the cap value (h- g, or h- C B* g) is the weight of the border cycle
+    # through g and the cap; at one the solve passes, just above it the
+    # cap gate is the last check and the box is empty
+    for t, status in ((0, OPTIMAL), (F(1, 64), INFEASIBLE)):
+        data = {"A": mp([[0, 1], [1, 0]]), "g": vec(t, 0), "h": vec(0, 0)}
+        if kind == "new_boxed_spectral":
+            data.update(p=vec(0, 0), q=vec(0, 0), r=MAX_PLUS.scalar(0))
+        elif kind == "rayleigh_two_constraints":
+            data.update(B=mp([[None, 0], [None, None]]), C=mp([[0, 0]]),
+                        g=vec(None, t), h=vec(0))
+        rep = solve(kind, **data)
+        cap_gate = "h- C B* g <= one" if "C" in data else "h- g <= one"
+        assert rep.status == status
+        assert (cap_gate, status == OPTIMAL) in rep.diagnostics
+        if status == INFEASIBLE:
+            assert rep.reason == INFEASIBLE_BOX
+            assert rep.diagnostics[-1] == (cap_gate, False)
 
 
 def test_invariant_checks_survive_python_optimize():
