@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .errors import (
     CarrierDomainError,
@@ -107,11 +106,14 @@ def _count(raw) -> int:
     return value
 
 
-def _step(raw) -> Fraction:
-    value = rational(raw)
-    if value <= 0:
-        raise ValueError("non-positive step")
-    return value
+def _positive(parse):
+    """``parse``, rejecting a value that is not above zero."""
+    def check(raw):
+        value = parse(raw)
+        if value <= 0:
+            raise ValueError("not positive")
+        return value
+    return check
 
 
 def _merged(section: dict | None, args, keys) -> dict:
@@ -129,9 +131,9 @@ def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec:
     ``--step`` flag: the data span for an infeasible report, else a grid
     centered on the reported solution."""
     settings = _merged(doc.grid, args, ("step",))
-    step = _setting(settings, "step", _step)
-    margin = _setting(settings, "margin", rational)
-    cap = _setting(settings, "cap", int, DEFAULT_GRID_CAP)
+    step = _setting(settings, "step", _positive(rational))
+    margin = _setting(settings, "margin", _positive(rational))
+    cap = _setting(settings, "cap", _positive(int), DEFAULT_GRID_CAP)
     if report.status == INFEASIBLE:
         return data_span_grid(doc.kind, doc.data, step=step, cap=cap)
     return default_grid(doc.kind, doc.data, report, step=step,

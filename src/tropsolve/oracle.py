@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegenerateInputError, GridOverflowError, ShapeError
+from .errors import (
+    DegenerateInputError,
+    GridOverflowError,
+    ShapeError,
+    TagMismatchError,
+)
 from .linalg import Matrix
 from .problems import PROBLEM_KINDS
 from .semifield import Scalar, Semifield
@@ -82,12 +87,48 @@ def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
     return out
 
 
+def _payloads(data: dict) -> list:
+    """Every nonzero carrier payload in the instance data."""
+    out = []
+    for value in data.values():
+        if isinstance(value, Matrix):
+            out.extend(s.v for r in value.data for s in r if s.v is not None)
+        elif isinstance(value, Scalar) and value.v is not None:
+            out.append(value.v)
+    return out
+
+
+def _lift(value, scale: int):
+    """A Scalar or Matrix under the power map ``a -> a^scale`` of an
+    additive carrier, with Python int payloads (``scale`` must clear every
+    denominator)."""
+    if isinstance(value, Matrix):
+        return Matrix(value.sf, tuple(
+            tuple(_lift(s, scale) for s in r) for r in value.data))
+    v = value.v
+    if v is None:
+        return value
+    return value.sf._wrap(v.numerator * (scale // v.denominator))
+
+
 def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     """Exhaustive search of the kind's objective over a finite grid.
 
     Every grid point is regular by construction; the best feasible value
     and its first (lexicographically smallest) attaining point come back,
     or a not-found result when the grid holds no feasible point.
+
+    On max-plus and min-plus the walk runs on Python ints: with ``L`` the
+    lcm of the denominators of the data, the bounds and the step, the data
+    and every grid point are lifted by ``x -> L x``, which is the power map
+    ``a -> a^L``.  For ``L > 0`` it is an automorphism of the semifield: it
+    commutes with the addition, the multiplication and the inverse and
+    keeps the order, so feasibility, every comparison and the tie rule are
+    those of the unscaled walk, and ``objective(L data, L x)`` is
+    ``L objective(data, x)``.  The value is divided by ``L`` once, and
+    ``argbest`` is built from the unscaled axes, so the int payloads never
+    leave this function and the result holds ``Fraction`` payloads.
+    Multiplicative carriers walk their float payloads as given.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -104,21 +145,37 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
             f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
             f"with --step or raise grid.cap in the document")
 
+    walk_data, walk_axes, scale = data, axes, 1
+    if sf.additive:
+        if any(value.sf is not sf for value in data.values()):
+            raise TagMismatchError(
+                f"a {sf.tag} grid over data of another semifield")
+        scale = lcm(*(v.denominator for v in _payloads(data)),
+                    grid.step.v.denominator,
+                    *(b.v.denominator for lo_hi in grid.intervals for b in lo_hi))
+        walk_data = {name: _lift(value, scale) for name, value in data.items()}
+        walk_axes = [[_lift(s, scale) for s in ax] for ax in axes]
+
     minimizing = pk.sense == "min"
     feasible = pk.feasible
     objective = pk.objective
     best: Scalar | None = None
-    argbest: Matrix | None = None
+    best_point = None
     n_feasible = 0
-    for combo in itertools.product(*axes):
-        x = Matrix(sf, tuple((s,) for s in combo))
-        if not feasible(data, x):
+    for point in itertools.product(*map(zip, walk_axes, axes)):
+        x = Matrix(sf, tuple((s,) for s, _ in point))
+        if not feasible(walk_data, x):
             continue
         n_feasible += 1
-        val = objective(data, x)
+        val = objective(walk_data, x)
         if best is None or (val < best if minimizing else best < val):
-            best, argbest = val, x
-    return GridResult(best is not None, best, argbest, total, n_feasible)
+            best, best_point = val, point
+    if best is None:
+        return GridResult(False, None, None, total, n_feasible)
+    if sf.additive and not best.is_zero:
+        best = sf._wrap(Fraction(best.v, scale))
+    argbest = Matrix(sf, tuple((u,) for _, u in best_point))
+    return GridResult(True, best, argbest, total, n_feasible)
 
 
 def cycle_mean_radius(a: Matrix) -> Scalar:
@@ -205,7 +262,8 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
 
     Margins shrink with the dimension to keep the point count small; the
     anchor lies on the grid, so the grid optimum can match the reported
-    one exactly.  Additive carriers only.
+    one exactly.  A margin below one step rounds up to one step; a margin
+    that is not positive is an input error.  Additive carriers only.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -218,6 +276,8 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
         step = default_step(n)
     if margin is None:
         margin = Fraction(1) if n <= 2 else Fraction(1, 3)
+    if margin <= 0:
+        raise DegenerateInputError(f"grid margin must be positive, got {margin}")
     margin = step * max(1, round(margin / step))  # keep the anchor on-grid
     intervals = tuple(
         (sf.scalar(anchor[i].v - margin), sf.scalar(anchor[i].v + margin))
@@ -235,14 +295,7 @@ def data_span_grid(kind: str, data: dict, step: Fraction | None = None,
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
-    payloads = []
-    for value in data.values():
-        if isinstance(value, Matrix):
-            payloads.extend(s.v for r in value.data for s in r if s.v is not None)
-        elif isinstance(value, Scalar) and value.v is not None:
-            payloads.append(value.v)
-    if not payloads:
-        payloads = [Fraction(0)]
+    payloads = _payloads(data) or [Fraction(0)]
     sf = next(iter(data.values())).sf
     if not sf.additive:
         raise DegenerateInputError(

@@ -188,6 +188,18 @@ _BAD_INPUTS = {
     "negative sample count in the document": (
         {"kind": "rayleigh", "A": [[1]], "verify": {"samples": -3}},
         ("verify", "{doc}"), "samples"),
+    "negative grid cap in the document": (
+        {"kind": "rayleigh", "A": [[1, 2], [3, 4]], "grid": {"cap": -1}},
+        ("verify", "{doc}"), "cap"),
+    "zero grid cap in the document": (
+        {"kind": "rayleigh", "A": [[1]], "grid": {"cap": 0}},
+        ("verify", "{doc}"), "cap"),
+    "negative grid margin in the document": (
+        {"kind": "rayleigh", "A": [[1, 2], [3, 4]], "grid": {"margin": "-5"}},
+        ("verify", "{doc}"), "margin"),
+    "zero grid margin in the document": (
+        {"kind": "rayleigh", "A": [[1]], "grid": {"margin": 0}},
+        ("verify", "{doc}"), "margin"),
 }
 
 

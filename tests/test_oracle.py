@@ -1,6 +1,8 @@
 """Grid search, sampling, and report verification."""
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,11 +10,14 @@ import pytest
 from tropsolve import (
     MAX_PLUS,
     MAX_TIMES,
+    MIN_PLUS,
     DegenerateInputError,
     GridOverflowError,
+    GridResult,
     GridSpec,
     Matrix,
     NO_FEASIBLE_POINT,
+    TagMismatchError,
     cycle_mean_radius,
     default_grid,
     default_step,
@@ -23,7 +28,8 @@ from tropsolve import (
     verify_report,
 )
 from tropsolve.gen import generate
-from tropsolve.oracle import data_span_grid
+from tropsolve.oracle import _axis, data_span_grid
+from tropsolve.problems import PROBLEM_KINDS
 from tropsolve.systems import BoxSolutionSet, EmptySolutionSet
 
 
@@ -65,6 +71,12 @@ def test_grid_overflow():
                     MAX_PLUS.scalar(F(1, 100)), cap=10_000)
     with pytest.raises(GridOverflowError):
         grid_search("rayleigh", {"A": Matrix.identity(MAX_PLUS, 2)}, grid)
+
+
+def test_grid_search_rejects_data_of_another_semifield():
+    data = generate("cheb_box", 1, seed=5, sf=MAX_TIMES)
+    with pytest.raises(TagMismatchError):
+        grid_search("cheb_box", data, _grid1(0, 1, F(1, 2)))
 
 
 def test_multiplicative_grid_axis():
@@ -148,3 +160,91 @@ def test_default_grid_centers_on_anchor():
     assert len(grid.intervals) == 2
     res = grid_search("rayleigh_box", data, grid)
     assert res.found and res.value == rep.optimum
+
+
+def test_default_grid_margin():
+    data = generate("rayleigh_box", 2, seed=11)
+    rep = solve("rayleigh_box", **data)
+    anchor = rep.solution.anchor()
+    # a positive margin below one step rounds up to one step
+    grid = default_grid("rayleigh_box", data, rep, margin=F(1, 1000))
+    step = default_step(2)
+    assert [(lo.v, hi.v) for lo, hi in grid.intervals] == [
+        (anchor[i].v - step, anchor[i].v + step) for i in range(2)]
+    for margin in (F(0), F(-5)):
+        with pytest.raises(DegenerateInputError, match="margin"):
+            default_grid("rayleigh_box", data, rep, margin=margin)
+
+
+# ----------------------------------------------------------------------
+# grid_search walks additive carriers on int payloads scaled by the lcm of
+# the denominators; the walk on the payloads as given is its reference
+
+def _reference_grid_search(kind, data, grid):
+    """Exhaustive walk on the data and grid payloads as given."""
+    pk = PROBLEM_KINDS[kind]
+    sf = grid.step.sf
+    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
+    best = argbest = None
+    n_feasible = 0
+    for combo in itertools.product(*axes):
+        x = Matrix(sf, tuple((s,) for s in combo))
+        if not pk.feasible(data, x):
+            continue
+        n_feasible += 1
+        val = pk.objective(data, x)
+        if best is None or (val < best if pk.sense == "min" else best < val):
+            best, argbest = val, x
+    return GridResult(best is not None, best, argbest,
+                      math.prod(map(len, axes)), n_feasible)
+
+
+def _assert_equals_reference(kind, data, grid):
+    res = grid_search(kind, data, grid)
+    ref = _reference_grid_search(kind, data, grid)
+    assert res == ref
+    if ref.found:
+        assert res.value.literal() == ref.value.literal()
+        assert res.argbest.to_payloads() == ref.argbest.to_payloads()
+        assert res.value.is_zero or type(res.value.v) is F
+        assert all(type(v) is F for row in res.argbest.to_payloads() for v in row)
+    return res
+
+
+def _shifted(data, grid, delta):
+    """Every nonzero payload of the data and of the grid bounds plus delta."""
+    shift = grid.step.sf.scalar(delta)
+    return ({name: shift * value for name, value in data.items()},
+            GridSpec(tuple((lo * shift, hi * shift) for lo, hi in grid.intervals),
+                     grid.step, grid.cap))
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
+def test_grid_search_equals_reference_walk(kind, sf):
+    found = 0
+    for n in (1, 2, 3):
+        data = generate(kind, n, seed=n, sf=sf)
+        grid = default_grid(kind, data, solve(kind, **data))
+        found += _assert_equals_reference(kind, data, grid).found
+        if n < 3:
+            # shifts whose denominators are not the step's, so L exceeds it;
+            # the grid alone shifted puts them in the bounds only
+            for delta in (F(1, 7), F(-2, 5)):
+                moved_data, moved_grid = _shifted(data, grid, delta)
+                _assert_equals_reference(kind, moved_data, moved_grid)
+                _assert_equals_reference(kind, data, moved_grid)
+    assert found == 3
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.tag)
+def test_grid_search_tie_takes_the_first_point(sf):
+    # x- A x with A = I is one for every x: each of the 5 x 8 points ties
+    grid = GridSpec(((sf.scalar(F(-2, 5)), sf.scalar(F(2, 5))),
+                     (sf.scalar(F(1, 7)), sf.scalar(F(11, 7)))),
+                    sf.scalar(F(1, 5)))
+    data = {"A": Matrix.identity(sf, 2)}
+    res = _assert_equals_reference("rayleigh", data, grid)
+    assert res.points_feasible == res.points_total == 5 * 8
+    assert res.value == sf.one
+    assert res.argbest.to_payloads() == [[F(-2, 5)], [F(1, 7)]]
