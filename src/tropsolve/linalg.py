@@ -3,19 +3,24 @@
 Vectors are column matrices (shape n x 1); row vectors are 1 x n matrices.
 ``A + B`` is the entrywise idempotent sum, ``A @ B`` the semifield matrix
 product, ``x * A`` scaling by a scalar, and ``A <= B`` the entrywise order.
-Everything is immutable.  The star and the spectral radius cost O(n^3)
-semifield operations each (a Floyd-Warshall closure and Karp's cycle-mean
-recurrence); only ``tr_functional`` and the star of a matrix with a cycle
-weight above one still sum powers, at O(n^4).
+Everything is immutable.  Additive payloads are exact rationals in
+canonical form: an ``int`` when the value is integral, else a ``Fraction``.
+The star and the spectral radius cost O(n^3) carrier operations each (a
+Floyd-Warshall closure and Karp's cycle-mean recurrence); on max-plus and
+min-plus both run on Python ints, the matrix lifted once by :func:`lift`
+and the result divided once.  The star of a matrix with a cycle weight
+above one costs O(n^3 log n), and only ``tr_functional`` still sums
+powers, at O(n^4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateInputError, ShapeError, TagMismatchError
-from .semifield import Scalar, Semifield, payload_text
+from .semifield import Scalar, Semifield, canonical, payload_text
 
 
 class Matrix:
@@ -132,7 +137,12 @@ class Matrix:
                             best = t
                     elif t < best:
                         best = t
-                row_out.append(sf._wrap(best) if best is not None else sf.zero)
+                if best is None:
+                    row_out.append(sf.zero)
+                    continue
+                if best.__class__ is Fraction and best.denominator == 1:
+                    best = best.numerator
+                row_out.append(sf._wrap(best))
             out.append(tuple(row_out))
         return Matrix(sf, tuple(out))
 
@@ -186,7 +196,7 @@ class Matrix:
 
         Computed as the closure ``I + A+`` (see :func:`kleene_star`), which
         equals the truncated sum whenever no cycle weight exceeds one; for
-        other matrices the powers are summed directly.
+        other matrices as ``(I + A)^(n-1)`` by repeated squaring.
         """
         return kleene_star(self).matrix
 
@@ -283,6 +293,34 @@ def has_cycle(a: Matrix) -> bool:
     return len(ready) < a.rows
 
 
+def lift(rows) -> tuple[list[list], int]:
+    """Exact payload rows on Python ints: ``(rows scaled by L, L)``.
+
+    ``L`` is the lcm of the denominators of the nonzero payloads, and
+    ``None`` (the zero) stays ``None``.  On max-plus and min-plus the map
+    ``x -> L x`` is the power map ``a -> a^L``; for ``L > 0`` it is an
+    automorphism of the semifield: it commutes with the addition, the
+    multiplication and the inverse and keeps the order, so a computation
+    on the lifted rows is the original one scaled by ``L``.
+    """
+    scale = lcm(*(v.denominator for r in rows for v in r if v is not None))
+    return [[None if v is None else v.numerator * (scale // v.denominator)
+             for v in r] for r in rows], scale
+
+
+def unlift(v, scale: int):
+    """The canonical payload ``v / scale`` of a lifted payload ``v`` (a
+    multiplicative payload, which comes with ``scale`` 1, as it is)."""
+    return v if scale == 1 else canonical(Fraction(v, scale))
+
+
+def _raw_rows(a: Matrix):
+    """``(payload rows, L)``: additive rows lifted to ints by :func:`lift`,
+    multiplicative ones as they are with ``L = 1``; the one stays
+    ``sf.one.v`` either way."""
+    return lift(a.to_payloads()) if a.sf.additive else (a.to_payloads(), 1)
+
+
 def spectral_radius(a: Matrix) -> Scalar:
     """Largest eigenvalue: the extremal cycle mean of the digraph of A.
 
@@ -293,23 +331,60 @@ def spectral_radius(a: Matrix) -> Scalar:
         lambda = sum over v of  meet over k < n of
                  (D_n(v) D_k(v)^-1)^(1/(n-k)),
 
-    with zero entries of ``D_n`` and ``D_k`` left out.  Exact on additive
-    carriers; the zero scalar signals a matrix without nonzero cycles.
+    with zero entries of ``D_n`` and ``D_k`` left out.  The walks run on
+    raw payloads, lifted to ints on additive carriers, where the meet and
+    the sum compare the means ``(D_n(v) - D_k(v)) / (n - k)`` by cross
+    multiplication and one ``Fraction`` is built at the end: exact.  The
+    zero scalar signals a matrix without nonzero cycles.
     """
     a._require_square("spectral radius")
     sf, n = a.sf, a.rows
-    walks = [Matrix.ones(sf, 1, n)]
+    additive, maximizing, one = sf.additive, sf.maximizing, sf.one.v
+    d, scale = _raw_rows(a)
+    out_edges = [[(j, v) for j, v in enumerate(r) if v is not None] for r in d]
+    walks = [[one] * n]
     for _ in range(n):
-        walks.append(walks[-1] @ a)
+        walk = [None] * n
+        for x, edges in zip(walks[-1], out_edges):
+            if x is None:
+                continue
+            for j, v in edges:
+                t = x + v if additive else x * v
+                cur = walk[j]
+                if cur is None or (t > cur if maximizing else t < cur):
+                    walk[j] = t
+        walks.append(walk)
+    tops = walks[n]
+    if additive:
+        # means as (num, den) with num signed so that the semifield order
+        # is the numeric order of num / den
+        sign = 1 if maximizing else -1
+        best = None
+        for v, top in enumerate(tops):
+            if top is None:
+                continue
+            wn, wd = sign * top, n  # k = 0, where D_0(v) is one
+            for k in range(1, n):
+                dk = walks[k][v]
+                if dk is not None:
+                    num = sign * (top - dk)
+                    if num * wd < wn * (n - k):
+                        wn, wd = num, n - k
+            if best is None or wn * best[1] > best[0] * wd:
+                best = (wn, wd)
+        if best is None:
+            return sf.zero
+        return sf._wrap(canonical(Fraction(sign * best[0], best[1] * scale)))
     lam = sf.zero
-    for v, top in enumerate(walks[n].data[0]):
-        if top.is_zero:
+    for v, top in enumerate(tops):
+        if top is None:
             continue
+        top = sf._wrap(top)
         worst = top ** Fraction(1, n)  # k = 0, where D_0(v) is one
         for k in range(1, n):
-            dk = walks[k].data[0][v]
-            if not dk.is_zero:
-                mean = (top * dk.inv()) ** Fraction(1, n - k)
+            dk = walks[k][v]
+            if dk is not None:
+                mean = (top * sf._wrap(dk).inv()) ** Fraction(1, n - k)
                 if mean < worst:
                     worst = mean
         lam = lam + worst
@@ -330,13 +405,13 @@ def _plus_closure(a: Matrix):
     before k weighs at most one, the entry ``(k, k)`` is the heaviest cycle
     through k over them, so a value above one proves a cycle weight above
     one (and ``A+`` diverges: returns None); otherwise the star of that
-    entry is one and the pivot step needs no star at all.
+    entry is one and the pivot step needs no star at all.  Additive rows
+    run lifted to ints (:func:`lift`) and are divided once on the way out.
     """
-    sf, n = a.sf, a.rows
+    sf = a.sf
     additive, maximizing, one = sf.additive, sf.maximizing, sf.one.v
-    d = [[s.v for s in r] for r in a.data]
-    for k in range(n):
-        row_k = d[k]
+    d, scale = _raw_rows(a)
+    for k, row_k in enumerate(d):
         pivot = row_k[k]
         if pivot is not None and not sf._le_payload(pivot, one):
             return None
@@ -351,15 +426,23 @@ def _plus_closure(a: Matrix):
                 cur = row_i[j]
                 if cur is None or (t > cur if maximizing else t < cur):
                     row_i[j] = t
-    return d
+    return [[None if v is None else unlift(v, scale) for v in r] for r in d]
 
 
 def _power_sum(a: Matrix) -> Matrix:
-    """I + A + ... + A^(n-1), one product per term."""
-    acc = p = Matrix.identity(a.sf, a.rows)
-    for _ in range(a.rows - 1):
-        p = p @ a
-        acc = acc + p
+    """I + A + ... + A^(n-1) as ``(I + A)^(n-1)``, equal in an idempotent
+    semiring, by repeated squaring: O(n^3 log n).  The exponent is exactly
+    n - 1; a higher one would add A^n terms, which change the sum when a
+    cycle weighs more than one."""
+    acc = Matrix.identity(a.sf, a.rows)
+    base = acc + a
+    e = a.rows - 1
+    while e:
+        if e & 1:
+            acc = acc @ base
+        e >>= 1
+        if e:
+            base = base @ base
     return acc
 
 
@@ -388,7 +471,7 @@ def kleene_star(a: Matrix) -> StarClosure:
 
 def encode_payload(v):
     """A carrier value as JSON: an int, a rational string or a float."""
-    if not isinstance(v, Fraction):
+    if isinstance(v, float):
         return v
     text = payload_text(v)  # refuses a rational too long to print
     return v.numerator if v.denominator == 1 else text

@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
     TagMismatchError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, lift, unlift
 from .problems import PROBLEM_KINDS
 from .semifield import Scalar, Semifield
 from .solvers import INFEASIBLE, OptimumReport
@@ -75,8 +75,8 @@ def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
     if sf.additive:
         if sv <= 0:
             raise DegenerateInputError("additive grid step must be positive")
-        count = int((hiv - lov) / sv) + 1
-        return [sf._wrap(lov + sv * i) for i in range(count)]
+        count = (hiv - lov) // sv + 1
+        return [sf.scalar(lov + sv * i) for i in range(count)]
     if sv <= 1.0:
         raise DegenerateInputError("multiplicative grid step must exceed 1")
     out = []
@@ -98,19 +98,6 @@ def _payloads(data: dict) -> list:
     return out
 
 
-def _lift(value, scale: int):
-    """A Scalar or Matrix under the power map ``a -> a^scale`` of an
-    additive carrier, with Python int payloads (``scale`` must clear every
-    denominator)."""
-    if isinstance(value, Matrix):
-        return Matrix(value.sf, tuple(
-            tuple(_lift(s, scale) for s in r) for r in value.data))
-    v = value.v
-    if v is None:
-        return value
-    return value.sf._wrap(v.numerator * (scale // v.denominator))
-
-
 def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     """Exhaustive search of the kind's objective over a finite grid.
 
@@ -118,17 +105,17 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     and its first (lexicographically smallest) attaining point come back,
     or a not-found result when the grid holds no feasible point.
 
-    On max-plus and min-plus the walk runs on Python ints: with ``L`` the
-    lcm of the denominators of the data, the bounds and the step, the data
-    and every grid point are lifted by ``x -> L x``, which is the power map
+    On max-plus and min-plus the walk runs on Python ints: the data and
+    every grid point are lifted together by :func:`linalg.lift`, ``x -> L x``
+    with ``L`` the lcm of their denominators, which is the power map
     ``a -> a^L``.  For ``L > 0`` it is an automorphism of the semifield: it
     commutes with the addition, the multiplication and the inverse and
     keeps the order, so feasibility, every comparison and the tie rule are
     those of the unscaled walk, and ``objective(L data, L x)`` is
     ``L objective(data, x)``.  The value is divided by ``L`` once, and
-    ``argbest`` is built from the unscaled axes, so the int payloads never
-    leave this function and the result holds ``Fraction`` payloads.
-    Multiplicative carriers walk their float payloads as given.
+    ``argbest`` is built from the unscaled axes, so the scaled payloads
+    never leave this function.  Multiplicative carriers walk their float
+    payloads as given.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -150,11 +137,17 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         if any(value.sf is not sf for value in data.values()):
             raise TagMismatchError(
                 f"a {sf.tag} grid over data of another semifield")
-        scale = lcm(*(v.denominator for v in _payloads(data)),
-                    grid.step.v.denominator,
-                    *(b.v.denominator for lo_hi in grid.intervals for b in lo_hi))
-        walk_data = {name: _lift(value, scale) for name, value in data.items()}
-        walk_axes = [[_lift(s, scale) for s in ax] for ax in axes]
+        # one L for the axes and every input, lifted as one list of rows
+        blocks = [[[s.v for s in ax] for ax in axes]] + [
+            value.to_payloads() if isinstance(value, Matrix) else [[value.v]]
+            for value in data.values()]
+        rows, scale = lift([r for block in blocks for r in block])
+        rows = iter(rows)
+        walk_axes, *lifted = [
+            tuple(tuple(sf.zero if v is None else sf._wrap(v) for v in next(rows))
+                  for _ in block) for block in blocks]
+        walk_data = {name: Matrix(sf, m) if isinstance(value, Matrix) else m[0][0]
+                     for (name, value), m in zip(data.items(), lifted)}
 
     minimizing = pk.sense == "min"
     feasible = pk.feasible
@@ -172,8 +165,8 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
             best, best_point = val, point
     if best is None:
         return GridResult(False, None, None, total, n_feasible)
-    if sf.additive and not best.is_zero:
-        best = sf._wrap(Fraction(best.v, scale))
+    if not best.is_zero:
+        best = sf._wrap(unlift(best.v, scale))
     argbest = Matrix(sf, tuple((u,) for _, u in best_point))
     return GridResult(True, best, argbest, total, n_feasible)
 

@@ -78,8 +78,7 @@ def _span_objective(data, x):
 
 
 def _span_of(y: Matrix) -> Scalar:
-    ones = Matrix.ones(y.sf, y.rows, 1)
-    return (ones.conj() @ y).item() * (y.conj() @ ones).item()
+    return y.norm() * y.conj().norm()
 
 
 def _rayleigh_objective(data, x):

@@ -1,10 +1,12 @@
 """Scalars over the four real idempotent semifields.
 
 A semifield value is either the semifield zero (kept as an explicit marker,
-never as an infinite carrier number) or a carrier number: an exact
-``fractions.Fraction`` for the additive-group carriers (max-plus, min-plus),
-or a positive float for the multiplicative-group carriers (max-times,
-min-times), whose roots leave the rationals.
+never as an infinite carrier number) or a carrier number: an exact rational
+for the additive-group carriers (max-plus, min-plus), or a positive float for
+the multiplicative-group carriers (max-times, min-times), whose roots leave
+the rationals.  Exact rationals are kept in canonical form (see
+:func:`canonical`): an ``int`` when the value is integral, else a
+``fractions.Fraction``, so integral data compute on Python ints.
 
 Operator sugar on :class:`Scalar`: ``+`` is the idempotent addition,
 ``*`` the group multiplication, ``**`` the (rational) power, and the
@@ -51,6 +53,12 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
+def canonical(q):
+    """An exact rational in canonical form: the ``int`` when ``q`` is
+    integral, else ``q`` (a ``Fraction``)."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def payload_text(value) -> str:
     """Text of a carrier value (``7/2``, ``-3``, ``2.5``); a rational grown
     past Python's int/str limit raises :class:`CarrierDomainError`."""
@@ -73,7 +81,7 @@ class Semifield:
     identity.  The three bits of behavior that differ per tag: whether
     the idempotent addition takes the naturally larger or smaller carrier
     value, whether the group operation is carrier ``+`` or ``*``, and the
-    carrier representation that follows from it (exact Fractions vs floats).
+    carrier representation that follows from it (exact rationals vs floats).
     """
 
     __slots__ = ("tag", "maximizing", "additive", "_zero", "_one")
@@ -85,7 +93,7 @@ class Semifield:
         self.maximizing = tag.startswith("max")
         self.additive = tag in _ADDITIVE_TAGS
         self._zero = Scalar(self, None, _token=_TOKEN)
-        unit = Fraction(0) if self.additive else 1.0
+        unit = 0 if self.additive else 1.0
         self._one = Scalar(self, unit, _token=_TOKEN)
 
     def __repr__(self) -> str:
@@ -111,15 +119,15 @@ class Semifield:
 
     def _coerce(self, value):
         if self.additive:
-            if isinstance(value, Fraction):
-                return value
             if isinstance(value, int):
-                return Fraction(value)
+                return int(value)  # a bool payload would print as True
+            if isinstance(value, Fraction):
+                return canonical(value)
             if isinstance(value, str):
-                return rational(value)
+                return canonical(rational(value))
             if isinstance(value, float):
                 # decimal-faithful: 0.25 -> 1/4, not the binary expansion
-                return Fraction(str(value))
+                return canonical(Fraction(str(value)))
             raise CarrierDomainError(
                 f"cannot use {value!r} as a {self.tag} carrier value")
         out = float(rational(value) if isinstance(value, str) else value)
@@ -205,7 +213,7 @@ class Scalar:
         if self.v is None or other.v is None:
             return self.sf._zero
         if self.sf.additive:
-            payload = self.v + other.v
+            payload = canonical(self.v + other.v)
         else:
             payload = self.v * other.v
         return Scalar(self.sf, payload, _token=_TOKEN)
@@ -217,9 +225,7 @@ class Scalar:
         return Scalar(self.sf, payload, _token=_TOKEN)
 
     def __pow__(self, exponent) -> Scalar:
-        if isinstance(exponent, int):
-            exponent = Fraction(exponent)
-        if not isinstance(exponent, Fraction):
+        if not isinstance(exponent, (int, Fraction)):
             raise TypeError(f"exponent must be an int or Fraction, got {exponent!r}")
         if self.v is None:
             if exponent > 0:
@@ -227,7 +233,10 @@ class Scalar:
             raise ZeroInversionError(
                 "the semifield zero admits only positive powers")
         if self.sf.additive:
-            payload = self.v * exponent
+            # one Fraction from the parts: int * Fraction dispatches slowly
+            v = self.v
+            payload = canonical(Fraction(v.numerator * exponent.numerator,
+                                         v.denominator * exponent.denominator))
         else:
             payload = self.v ** float(exponent)
         return Scalar(self.sf, payload, _token=_TOKEN)

@@ -11,7 +11,10 @@ n + 1 nodes, then ``kleene_star(Z)``, ``Z* @ U`` and the spectral radius.
 Random matrices cover every carrier and n = 1..8, including zero-heavy,
 acyclic, reducible, critical (lambda == one) and hot (lambda > one) ones;
 the hot ones take the star's truncated-sum fallback.  Additive carriers
-compare exactly, the multiplicative ones with ``Scalar ==``.
+compare exactly, the multiplicative ones with ``Scalar ==``.  The additive
+kernels also run on matrices over the coprime denominators 7 and 5, mixed
+with int entries, and must return canonical payloads (an int exactly when
+the value is integral).
 """
 
 import json
@@ -170,6 +173,81 @@ def test_cycle_test_agrees_with_spectral_radius():
     for _, a in CASES:
         assert has_cycle(a) == (not spectral_radius(a).is_zero)
     assert sum(has_cycle(a) for _, a in CASES) not in (0, len(CASES))
+
+
+# ----------------------------------------------------------------------
+# the additive kernels run on ints lifted by the lcm of the denominators
+
+def _canonical(v) -> bool:
+    """An exact payload in canonical form: an int exactly when integral."""
+    return type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def lifted_cases():
+    """Additive matrices over the coprime denominators 7 and 5 on top of the
+    2 and 3 of the families: each family matrix shifted as a whole by 1/7
+    and by -2/5 (which moves lambda by as much), and with every entry
+    shifted by 0, 1/7 or -2/5, so that ints and Fractions mix."""
+    rng = random.Random(57)
+    shifts = (0, Fraction(1, 7), Fraction(-2, 5))
+    for sf in (MAX_PLUS, MIN_PLUS):
+        for family in FAMILIES:
+            for n in range(1, 8):
+                a = additive_matrix(sf, family, n, rng)
+                yield a
+                for delta in shifts[1:]:
+                    yield sf.scalar(delta) * a
+                yield Matrix.from_rows(sf, [
+                    [None if v is None else v + rng.choice(shifts) for v in r]
+                    for r in a.to_payloads()])
+
+
+LIFTED_CASES = list(lifted_cases())
+
+
+def test_lifted_kernels_match_reference_kernels():
+    seen = set()
+    for a in LIFTED_CASES:
+        closure = kleene_star(a)
+        want = reference_star(a)
+        _check_exact(closure.matrix, want)
+        assert closure.closure_valid == (tr_functional(a) <= a.sf.one)
+        lam = spectral_radius(a)
+        ref = reference_spectral_radius(a)
+        assert lam == ref and lam.v == ref.v
+        if a.rows <= ORACLE_MAX_N:
+            assert lam == cycle_mean_radius(a)
+        # outputs are canonical: an int exactly when the value is integral
+        payloads = [v for r in closure.matrix.to_payloads() for v in r
+                    if v is not None] + ([] if lam.is_zero else [lam.v])
+        payloads += [v for r in (a @ a).to_payloads() for v in r if v is not None]
+        assert all(_canonical(v) for v in payloads)
+        seen.update((a.sf.tag, closure.closure_valid, type(v)) for v in payloads)
+        seen.add((a.sf.tag, "lambda", None if lam.is_zero else type(lam.v)))
+    for sf in (MAX_PLUS, MIN_PLUS):
+        for valid in (True, False):
+            assert {(sf.tag, valid, int), (sf.tag, valid, Fraction)} <= seen
+        for kind in (None, int, Fraction):
+            assert (sf.tag, "lambda", kind) in seen
+
+
+def test_lifted_kernels_on_coprime_denominators():
+    # on max-plus a two-cycle 1/7, -2/5 of mean -9/70, a loop -6/7 and an
+    # int entry; min-plus takes the negated matrix, so every value flips
+    rows = [[None, Fraction(1, 7), 2],
+            [Fraction(-2, 5), None, None],
+            [None, None, Fraction(-6, 7)]]
+    for sf, sign in ((MAX_PLUS, 1), (MIN_PLUS, -1)):
+        a = Matrix.from_rows(sf, [[None if v is None else sign * v for v in r]
+                                  for r in rows])
+        assert spectral_radius(a).v == sign * Fraction(-9, 70)
+        closure = kleene_star(a)
+        assert closure.closure_valid
+        star = closure.matrix.to_payloads()
+        assert star == reference_star(a).to_payloads()
+        assert star[1][2] == sign * Fraction(8, 5)
+        assert [type(star[i][i]) for i in range(3)] == [int] * 3
+        assert star[0][2] == sign * 2 and type(star[0][2]) is int
 
 
 # ----------------------------------------------------------------------

@@ -199,6 +199,11 @@ def _reference_grid_search(kind, data, grid):
                       math.prod(map(len, axes)), n_feasible)
 
 
+def _canonical(v) -> bool:
+    """An exact payload in canonical form: an int exactly when integral."""
+    return type(v) is (int if v.denominator == 1 else F)
+
+
 def _assert_equals_reference(kind, data, grid):
     res = grid_search(kind, data, grid)
     ref = _reference_grid_search(kind, data, grid)
@@ -206,8 +211,8 @@ def _assert_equals_reference(kind, data, grid):
     if ref.found:
         assert res.value.literal() == ref.value.literal()
         assert res.argbest.to_payloads() == ref.argbest.to_payloads()
-        assert res.value.is_zero or type(res.value.v) is F
-        assert all(type(v) is F for row in res.argbest.to_payloads() for v in row)
+        assert res.value.is_zero or _canonical(res.value.v)
+        assert all(_canonical(v) for row in res.argbest.to_payloads() for v in row)
     return res
 
 

@@ -1,5 +1,6 @@
 """Scalar arithmetic on the four carriers."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from tropsolve import (
     TagMismatchError,
     ZeroInversionError,
 )
+from tropsolve.linalg import encode_payload
 from tropsolve.semifield import MAX_LITERAL_DIGITS
 
 ALL = (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
@@ -116,6 +118,47 @@ def test_literal_size_is_bounded():
         MAX_PLUS.from_literal("abc")
     with pytest.raises(CarrierDomainError, match="4300 digits"):
         MIN_PLUS.from_literal("1e99999")
+
+
+# ----------------------------------------------------------------------
+# additive payloads in canonical form: an int exactly when integral
+
+def _canonical(v) -> bool:
+    return type(v) is (int if v.denominator == 1 else F)
+
+
+@pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS), ids=lambda s: s.tag)
+def test_integral_input_parses_to_int(sf):
+    for raw, value in (("4/2", 2), (2.0, 2), (True, 1), (F(-6, 3), -2),
+                       (" -0.0 ", 0), ("1e2", 100), (7, 7)):
+        s = sf.scalar(raw)
+        assert type(s.v) is int and s.v == value, raw
+        # the bytes of the JSON and text forms are those of the Fraction
+        assert json.dumps(encode_payload(s.v)) == json.dumps(encode_payload(F(value)))
+        assert s.literal() == str(F(value)) == str(value)
+    for raw, value in (("7/2", F(7, 2)), (2.5, F(5, 2)), (F(1, 7), F(1, 7))):
+        s = sf.scalar(raw)
+        assert type(s.v) is F and s.v == value
+        assert json.dumps(encode_payload(s.v)) == json.dumps(str(value))
+    assert type(sf.one.v) is int and sf.one.v == 0
+    assert type(sf.from_literal("10/5").v) is int
+
+
+@pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS), ids=lambda s: s.tag)
+def test_additive_results_are_canonical(sf):
+    half = sf.scalar(F(1, 2))
+    assert type((half * half).v) is int
+    assert type((sf.scalar(3) ** F(1, 3)).v) is int
+    assert type((sf.scalar(1) ** F(1, 2)).v) is F
+    exps = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+    @given(_scalars(sf).filter(lambda s: not s.is_zero),
+           _scalars(sf).filter(lambda s: not s.is_zero), exps)
+    def check(a, b, p):
+        for s in (a, b, a * b, a + b, a.inv(), a ** p, a ** 2):
+            assert _canonical(s.v)
+
+    check()
 
 
 # ----------------------------------------------------------------------
