@@ -63,13 +63,6 @@ from .solvers import (
     solve_cheb_image_lower,
     solve_cheb_kleene,
     solve_cheb_kleene_box,
-    solve_new_boxed_spectral,
-    solve_rayleigh,
-    solve_rayleigh_affine,
-    solve_rayleigh_box,
-    solve_rayleigh_lower,
-    solve_rayleigh_p_lower,
-    solve_rayleigh_two_constraints,
     solve_span_max,
     solve_span_max_constrained,
     solve_span_max_norm,

@@ -150,48 +150,29 @@ def _build_span_max_constrained(d: _Draw, n: int) -> dict:
     return data
 
 
-def _build_rayleigh(d: _Draw, n: int) -> dict:
-    return {"A": d.ensure_positive_radius(d.matrix(n, n))}
+def _build_bordered(d: _Draw, n: int, shapes: dict) -> dict:
+    """An instance of a row of the general spectral problem: the row's
+    inputs drawn in the order A, B, C, p, q, g, h, r, but g first for a box
+    (h without C).  h is lifted over ``C B* g`` so the cap gate passes."""
+    def cap_floor():  # C B* g, with B and C dropped when absent
+        floor = data["g"]
+        if "B" in data:
+            floor = data["B"].star() @ floor
+        return data["C"] @ floor if "C" in data else floor
 
-
-def _build_rayleigh_affine(d: _Draw, n: int) -> dict:
-    return {"A": d.ensure_positive_radius(d.matrix(n, n)),
-            "p": d.vec(n), "q": d.vec(n, regular=True),
-            "r": d.sf.scalar(d.entry())}
-
-
-def _build_rayleigh_two_constraints(d: _Draw, n: int) -> dict:
-    a = d.ensure_positive_radius(d.matrix(n, n))
-    b = d.cap_cycles(d.matrix(n, n))
-    c = d.patch_cols(d.matrix(n, n))
-    g = d.vec(n)
-    h = d.vec(n, regular=True) + (c @ (b.star() @ g))
-    return {"A": a, "B": b, "C": c, "g": g, "h": h}
-
-
-def _build_rayleigh_lower(d: _Draw, n: int) -> dict:
-    return {"A": d.ensure_positive_radius(d.matrix(n, n)),
-            "B": d.cap_cycles(d.matrix(n, n)), "g": d.vec(n)}
-
-
-def _build_rayleigh_box(d: _Draw, n: int) -> dict:
-    g = d.vec(n)
-    return {"A": d.ensure_positive_radius(d.matrix(n, n)),
-            "g": g, "h": d.vec(n, regular=True) + g}
-
-
-def _build_rayleigh_p_lower(d: _Draw, n: int) -> dict:
-    return {"A": d.ensure_positive_radius(d.matrix(n, n)),
-            "B": d.cap_cycles(d.matrix(n, n)),
-            "p": d.vec(n), "g": d.vec(n)}
-
-
-def _build_new_boxed_spectral(d: _Draw, n: int) -> dict:
-    g = d.vec(n)
-    return {"A": d.ensure_positive_radius(d.matrix(n, n)),
-            "p": d.vec(n), "q": d.vec(n, regular=True),
-            "g": g, "h": d.vec(n, regular=True) + g,
-            "r": d.sf.scalar(d.entry())}
+    draws = {"A": lambda: d.ensure_positive_radius(d.matrix(n, n)),
+             "B": lambda: d.cap_cycles(d.matrix(n, n)),
+             "C": lambda: d.patch_cols(d.matrix(n, n)),
+             "p": lambda: d.vec(n), "q": lambda: d.vec(n, regular=True),
+             "g": lambda: d.vec(n),
+             "h": lambda: d.vec(n, regular=True) + cap_floor(),
+             "r": lambda: d.sf.scalar(d.entry())}
+    box = "h" in shapes and "C" not in shapes
+    data: dict = {}
+    for name in "gABCpqhr" if box else "ABCpqghr":
+        if name in shapes:
+            data[name] = draws[name]()
+    return {name: data[name] for name in shapes}
 
 
 BUILDERS = {
@@ -205,13 +186,6 @@ BUILDERS = {
     "span_max": _build_span_max,
     "span_max_norm": _build_span_max_norm,
     "span_max_constrained": _build_span_max_constrained,
-    "rayleigh": _build_rayleigh,
-    "rayleigh_affine": _build_rayleigh_affine,
-    "rayleigh_two_constraints": _build_rayleigh_two_constraints,
-    "rayleigh_lower": _build_rayleigh_lower,
-    "rayleigh_box": _build_rayleigh_box,
-    "rayleigh_p_lower": _build_rayleigh_p_lower,
-    "new_boxed_spectral": _build_new_boxed_spectral,
 }
 
 
@@ -235,7 +209,9 @@ def generate(kind: str, n: int, seed: int, sf: Semifield = MAX_PLUS,
         raise KeyError(f"unknown problem kind {kind!r}")
     rng = random.Random(seed)
     base = sf if sf.additive else (MAX_PLUS if sf.maximizing else MIN_PLUS)
-    data = BUILDERS[kind](_Draw(base, rng, lo, hi, zero_prob), n)
+    draw = _Draw(base, rng, lo, hi, zero_prob)
+    data = (BUILDERS[kind](draw, n) if kind in BUILDERS
+            else _build_bordered(draw, n, PROBLEM_KINDS[kind].shapes))
     if not sf.additive:
         data = _exp_map(data, sf)
     return data

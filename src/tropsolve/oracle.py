@@ -12,9 +12,10 @@ point in carrier order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, inf, lcm, log, log1p, prod
 
 from .errors import (
     DegenerateInputError,
@@ -66,7 +67,12 @@ class GridResult:
         return None if self.found else NO_FEASIBLE_POINT
 
 
-def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
+def _axis_count(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar,
+                cap: float = inf) -> int:
+    """Points on one axis, counted without building any: ``(hi - lo) //
+    step + 1`` on an additive carrier; on a multiplicative one the walk
+    ``lo, lo step, ...`` while it stays within ``hi (1 + 1e-12)``, taken
+    step by step up to ``cap + 1`` points and from logarithms past that."""
     if lo.is_zero or hi.is_zero or step.is_zero:
         raise DegenerateInputError("grid bounds and step must be nonzero")
     lov, hiv, sv = lo.v, hi.v, step.v
@@ -75,16 +81,26 @@ def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
     if sf.additive:
         if sv <= 0:
             raise DegenerateInputError("additive grid step must be positive")
-        count = (hiv - lov) // sv + 1
-        return [sf.scalar(lov + sv * i) for i in range(count)]
+        return (hiv - lov) // sv + 1
     if sv <= 1.0:
         raise DegenerateInputError("multiplicative grid step must exceed 1")
-    out = []
-    v = lov
-    while v <= hiv * (1.0 + 1e-12):
-        out.append(sf._wrap(v))
+    top = hiv * (1.0 + 1e-12)
+    count, v = 0, lov
+    while v <= top:
+        count += 1
+        if count > cap:
+            return max(count, floor(log(top / lov) / log1p(sv - 1.0)) + 1)
         v *= sv
-    return out
+    return count
+
+
+def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
+    """Every point of one axis, from ``lo`` in steps of ``step``."""
+    count = _axis_count(sf, lo, hi, step)
+    if sf.additive:
+        return [sf.scalar(lo.v + step.v * i) for i in range(count)]
+    return [sf._wrap(v) for v in itertools.accumulate(
+        itertools.repeat(step.v, count - 1), operator.mul, initial=lo.v)]
 
 
 def _payloads(data: dict) -> list:
@@ -123,14 +139,14 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         raise ShapeError(
             f"grid has {len(grid.intervals)} intervals for dimension {n}")
     sf = grid.step.sf
-    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
-    total = 1
-    for ax in axes:
-        total *= len(ax)
+    counts = [_axis_count(sf, lo, hi, grid.step, grid.cap)
+              for lo, hi in grid.intervals]
+    total = prod(counts)
     if total > grid.cap:
         raise GridOverflowError(
             f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
             f"with --step or raise grid.cap in the document")
+    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
 
     walk_data, walk_axes, scale = data, axes, 1
     if sf.additive:

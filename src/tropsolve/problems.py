@@ -7,11 +7,15 @@ checks shapes and dispatches through this table, the document reader and
 writer walk its shapes, and the oracle evaluates the semantics pointwise
 during grid search and when re-checking sampled solution-set members, so a
 bug in a solver formula cannot hide behind itself.
+
+The seven spectral kinds are rows of one general problem: a row lists the
+inputs it has, and :func:`_bordered` builds its solver and semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import solvers
@@ -24,10 +28,11 @@ from .semifield import Scalar
 class ProblemKind:
     """One problem kind.
 
-    ``shapes`` maps each input name, in the solver's argument order, to its
-    dimension letters: two letters for a matrix (rows, columns), one for a
-    column vector, none for a scalar.  Equal letters must bind to equal
-    sizes, and ``n`` is the dimension of the unknown x.
+    ``shapes`` maps each input name to its dimension letters: two letters
+    for a matrix (rows, columns), one for a column vector, none for a
+    scalar.  Equal letters must bind to equal sizes, and ``n`` is the
+    dimension of the unknown x.  The solver takes each input as the keyword
+    argument of the same name in lower case.
     """
 
     kind: str
@@ -81,29 +86,8 @@ def _span_of(y: Matrix) -> Scalar:
     return y.norm() * y.conj().norm()
 
 
-def _rayleigh_objective(data, x):
-    return (x.conj() @ (data["A"] @ x)).item()
-
-
-def _rayleigh_affine_objective(data, x):
-    return (_rayleigh_objective(data, x)
-            + (x.conj() @ data["p"]).item()
-            + (data["q"].conj() @ x).item()
-            + data["r"])
-
-
-def _rayleigh_p_objective(data, x):
-    return _rayleigh_objective(data, x) + (x.conj() @ data["p"]).item()
-
-
 def _box_feasible(data, x):
     return data["g"] <= x and x <= data["h"]
-
-
-def _sub_fixpoint_feasible(key_matrix: str):
-    def check(data, x):
-        return (data[key_matrix] @ x) + data["g"] <= x
-    return check
 
 
 def _recursion_cap_feasible(key_matrix: str):
@@ -112,9 +96,34 @@ def _recursion_cap_feasible(key_matrix: str):
     return check
 
 
-def _two_constraints_feasible(data, x):
-    return ((data["B"] @ x) + data["g"] <= x
-            and (data["C"] @ x) <= data["h"])
+def _bordered(kind: str, shapes: dict[str, str],
+              flag: str | None = None) -> ProblemKind:
+    """The row with the inputs in ``shapes`` of ``min x- A x + x- p + q- x +
+    r`` subject to ``B x + g <= x`` (``g <= x`` without B) and ``C x <= h``
+    (``x <= h`` without C).  The objective adds the present terms in that
+    order, which matters on the multiplicative carriers, whose ``+`` picks
+    an operand within ``REL_TOL``."""
+    def objective(d: dict, x: Matrix) -> Scalar:
+        xc = x.conj()
+        val = (xc @ (d["A"] @ x)).item()
+        if "p" in shapes:
+            val = val + (xc @ d["p"]).item()
+        if "q" in shapes:
+            val = val + (d["q"].conj() @ x).item()
+        if "r" in shapes:
+            val = val + d["r"]
+        return val
+
+    def feasible(d: dict, x: Matrix) -> bool:
+        if "g" in shapes:
+            lower = (d["B"] @ x) + d["g"] if "B" in shapes else d["g"]
+            if not lower <= x:
+                return False
+        return "h" not in shapes or (d["C"] @ x if "C" in shapes else x) <= d["h"]
+
+    return ProblemKind(kind, "min", shapes,
+                       partial(solvers.bordered_optimum, kind, flag=flag),
+                       objective, feasible)
 
 
 PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
@@ -168,40 +177,15 @@ PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
         solvers.solve_span_max_constrained,
         objective=_span_objective,
         feasible=_recursion_cap_feasible("C")),
-    ProblemKind(
-        "rayleigh", "min", {"A": "nn"}, solvers.solve_rayleigh,
-        objective=_rayleigh_objective,
-        feasible=_unconstrained),
-    ProblemKind(
-        "rayleigh_affine", "min", {"A": "nn", "p": "n", "q": "n", "r": ""},
-        solvers.solve_rayleigh_affine,
-        objective=_rayleigh_affine_objective,
-        feasible=_unconstrained),
-    ProblemKind(
-        "rayleigh_two_constraints", "min",
-        {"A": "nn", "B": "nn", "C": "kn", "g": "n", "h": "k"},
-        solvers.solve_rayleigh_two_constraints,
-        objective=_rayleigh_objective,
-        feasible=_two_constraints_feasible),
-    ProblemKind(
-        "rayleigh_lower", "min", {"A": "nn", "B": "nn", "g": "n"},
-        solvers.solve_rayleigh_lower,
-        objective=_rayleigh_objective,
-        feasible=_sub_fixpoint_feasible("B")),
-    ProblemKind(
-        "rayleigh_box", "min", {"A": "nn", "g": "n", "h": "n"},
-        solvers.solve_rayleigh_box,
-        objective=_rayleigh_objective,
-        feasible=_box_feasible),
-    ProblemKind(
-        "rayleigh_p_lower", "min", {"A": "nn", "B": "nn", "p": "n", "g": "n"},
-        solvers.solve_rayleigh_p_lower,
-        objective=_rayleigh_p_objective,
-        feasible=_sub_fixpoint_feasible("B")),
-    ProblemKind(
-        "new_boxed_spectral", "min", 
-        {"A": "nn", "p": "n", "q": "n", "g": "n", "h": "n", "r": ""},
-        solvers.solve_new_boxed_spectral,
-        objective=_rayleigh_affine_objective,
-        feasible=_box_feasible),
+    _bordered("rayleigh", {"A": "nn"}),
+    _bordered("rayleigh_affine", {"A": "nn", "p": "n", "q": "n", "r": ""}),
+    _bordered("rayleigh_two_constraints",
+              {"A": "nn", "B": "nn", "C": "kn", "g": "n", "h": "k"},
+              flag="Tr(theta^-1 A + B) <= one"),
+    _bordered("rayleigh_lower", {"A": "nn", "B": "nn", "g": "n"}),
+    _bordered("rayleigh_box", {"A": "nn", "g": "n", "h": "n"}),
+    _bordered("rayleigh_p_lower", {"A": "nn", "B": "nn", "p": "n", "g": "n"}),
+    _bordered("new_boxed_spectral",
+              {"A": "nn", "p": "n", "q": "n", "g": "n", "h": "n", "r": ""},
+              flag="Tr(mu^-1 A) <= one"),
 )}

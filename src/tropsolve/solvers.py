@@ -7,22 +7,24 @@ one, incompatible bounds) produces an infeasible report with a
 machine-readable reason.  A result that breaks an invariant of its own
 closed form raises :class:`InvariantError`.  An optimal report carries the
 exact optimum and one of the solution types of :mod:`tropsolve.systems`,
-describing the complete solution set, except where a solver is documented
-to return a single attaining point.
+describing the complete solution set, with three exceptions:
+``cheb_image_lower`` reports one attaining point, the three ``span_min*``
+kinds report one ray of minimizers, and ``span_max`` / ``span_max_norm`` /
+``span_max_constrained`` report the family of the first pinned index when
+several tie.
 
-The seven kinds with a form ``x- A x`` are each one call of
-:func:`_bordered_optimum`.  It runs their gates in one order, each only when
-its input is present (``spectral radius > zero``, ``C column-regular``,
-``q regular``, ``h regular``, ``Tr(B) <= one``, then the cap gate
-``h- C B* g <= one``, or ``h- g <= one`` for a box), and returns the bordered
-optimum ``theta = lambda(Z* U)``.  ``cheb_box``, ``cheb_kleene`` and
-``cheb_kleene_box`` are its ``A = 0`` case, written out, with their own
-checks on p.
+The seven kinds with a form ``x- A x`` are rows of one general problem,
+``min x- A x + x- p + q- x + r`` subject to ``B x + g <= x`` and
+``C x <= h``: each row of :data:`tropsolve.problems.PROBLEM_KINDS` declares
+which of those inputs it has, and its solver is :func:`bordered_optimum`
+with the kind bound.  ``cheb_box``, ``cheb_kleene`` and ``cheb_kleene_box``
+are its ``A = 0`` case, written out, with their own checks on p.
 
 Solvers are addressed by stable kind identifiers through :func:`solve`,
 which checks every input against the shapes declared in
-:data:`tropsolve.problems.PROBLEM_KINDS` before it calls the solver; the
-solvers themselves assume conforming shapes.
+:data:`tropsolve.problems.PROBLEM_KINDS` before it calls the solver with
+each input by keyword (``A`` as ``a``); the solvers themselves assume
+conforming shapes.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ def solve_cheb_kleene(b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
 # span-seminorm problems
 
 def solve_span_min(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
-    """Minimize ``q- B x (A x)- p``; the minimizers form a single ray."""
+    """Minimize ``q- B x (A x)- p``; reports one ray of minimizers, and
+    the minimizer set may be larger."""
     kind = "span_min"
     diags: list = []
     _require(a.is_row_regular(), "A row-regular", diags)
@@ -282,11 +285,11 @@ def solve_span_max_constrained(a: Matrix, b: Matrix, c: Matrix,
 # ----------------------------------------------------------------------
 # quadratic-form problems built on the spectral radius
 
-def _bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
-                      c: Matrix | None = None, p: Matrix | None = None,
-                      q: Matrix | None = None, r: Scalar | None = None,
-                      g: Matrix | None = None, h: Matrix | None = None,
-                      flag: str | None = None) -> OptimumReport:
+def bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
+                     c: Matrix | None = None, p: Matrix | None = None,
+                     q: Matrix | None = None, r: Scalar | None = None,
+                     g: Matrix | None = None, h: Matrix | None = None,
+                     flag: str | None = None) -> OptimumReport:
     """Report on ``min x- A x + x- p + q- x + r`` subject to ``B x + g <= x``
     and ``C x <= h`` (a box when C is absent), absent inputs being zero.
 
@@ -303,6 +306,12 @@ def _bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
     ``G = (theta^-1 A + B)*``, ``theta^-1 p + g <= u`` and
     ``u <= ((theta^-1 q- + cap) G)-``; a bound with no input stays None.
     ``flag`` names the diagnostic that records whether G is a closure.
+
+    With A alone ``theta`` is the spectral radius ``lambda(A)``.  Under
+    ``B x + g <= x`` without a cap it is ``lambda(B* A)``, the largest ratio
+    of weight to number of A-edges over the cycles of the digraph of
+    ``A + B``, with or without p, since no cycle runs through p.  Under both
+    constraints it is ``lambda(B* A + B* g h- C B* A)``.
     """
     sf, n = a.sf, a.rows
     diags: list = []
@@ -353,60 +362,12 @@ def _bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
     return _optimal(kind, theta, GeneratedSolutionSet(gen, lower, upper), diags)
 
 
-def solve_rayleigh(a: Matrix) -> OptimumReport:
-    """Minimize ``x- A x`` over regular x; the optimum is the spectral radius."""
-    return _bordered_optimum("rayleigh", a)
-
-
-def solve_rayleigh_affine(a: Matrix, p: Matrix, q: Matrix, r: Scalar) -> OptimumReport:
-    """Minimize ``x- A x + x- p + q- x + r`` over regular x."""
-    return _bordered_optimum("rayleigh_affine", a, p=p, q=q, r=r)
-
-
-def solve_rayleigh_two_constraints(a: Matrix, b: Matrix, c: Matrix,
-                                   g: Matrix, h: Matrix) -> OptimumReport:
-    """Minimize ``x- A x`` subject to ``B x + g <= x`` and ``C x <= h``.
-
-    The optimum is ``lambda(B* A + B* g h- C B* A)``: the largest
-    weight-to-A-edge ratio over the cycles of the digraph of ``A + B`` with
-    one extra node joined by ``g`` and ``h- C``.  An all-zero C (vacuous
-    cap) is accepted and drops the upper bound.
-    """
-    return _bordered_optimum("rayleigh_two_constraints", a, b=b, c=c, g=g, h=h,
-                             flag="Tr(theta^-1 A + B) <= one")
-
-
-def solve_rayleigh_lower(a: Matrix, b: Matrix, g: Matrix) -> OptimumReport:
-    """Minimize ``x- A x`` subject to ``B x + g <= x``; the optimum is
-    ``lambda(B* A)``, the largest ratio of weight to number of A-edges over
-    the cycles of the digraph of ``A + B``."""
-    return _bordered_optimum("rayleigh_lower", a, b=b, g=g)
-
-
-def solve_rayleigh_box(a: Matrix, g: Matrix, h: Matrix) -> OptimumReport:
-    """Minimize ``x- A x`` over the box ``g <= x <= h``."""
-    return _bordered_optimum("rayleigh_box", a, g=g, h=h)
-
-
-def solve_rayleigh_p_lower(a: Matrix, b: Matrix, p: Matrix, g: Matrix) -> OptimumReport:
-    """Minimize ``x- A x + x- p`` subject to ``B x + g <= x``; the optimum
-    is ``lambda(B* A)``, since without a cap no cycle runs through p."""
-    return _bordered_optimum("rayleigh_p_lower", a, b=b, p=p, g=g)
-
-
-def solve_new_boxed_spectral(a: Matrix, p: Matrix, q: Matrix, g: Matrix,
-                             h: Matrix, r: Scalar) -> OptimumReport:
-    """Minimize ``x- A x + x- p + q- x + r`` over the box ``g <= x <= h``."""
-    return _bordered_optimum("new_boxed_spectral", a, p=p, q=q, r=r, g=g, h=h,
-                             flag="Tr(mu^-1 A) <= one")
-
-
 # ----------------------------------------------------------------------
 # dispatch by stable kind identifier
 
 def solve(kind: str, **data) -> OptimumReport:
     """Check the inputs against the kind's declared shapes, then call its
-    solver."""
+    solver with each input by keyword, its name in lower case."""
     from .problems import PROBLEM_KINDS  # the registry imports this module
     if kind not in PROBLEM_KINDS:
         raise KeyError(f"unknown problem kind {kind!r}")
@@ -415,4 +376,4 @@ def solve(kind: str, **data) -> OptimumReport:
     if missing:
         raise TypeError(f"{kind} needs fields {missing}")
     pk.dim(data)
-    return pk.solver(*(data[f] for f in pk.shapes))
+    return pk.solver(**{f.lower(): data[f] for f in pk.shapes})

@@ -123,6 +123,18 @@ def test_verify_grid_cap_exit(tmp_path):
     assert "cap" in r.stderr
 
 
+def test_verify_counts_the_grid_before_building_it(tmp_path, capsys):
+    # one coordinate, [a - 1, a + 1] in steps of 1e-9: 2,000,000,001 points
+    from tropsolve.cli import main
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({"kind": "rayleigh", "A": [[2]]}))
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--step", "1/1000000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: 2000000001 grid points exceed the cap 200000")
+
+
 def test_algebra_commands(tmp_path):
     mat = tmp_path / "m.txt"
     mat.write_text("1 2\n3 4\n")

@@ -10,9 +10,11 @@ re-encodes with the canonical ``dumps`` to exactly the bytes the CLI
 printed.  Additive carriers must reproduce those bytes; multiplicative ones
 the same structure (text: the same tokens) with every number equal within
 ``REL_TOL``, since float results may move in the last bits when a kernel
-changes its order of operations.
+changes its order of operations.  ``gen`` must rebuild every stored
+document, since the benchmark workloads are ``gen`` instances too.
 """
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -94,6 +96,18 @@ def test_corpus_covers_every_kind_and_carrier():
     assert {(e["kind"], e["semifield"]) for e in VERIFY} == {
         (k, s) for k in PROBLEM_KINDS for s in SEMIFIELDS
         if SEMIFIELDS[s].additive}
+
+
+def test_gen_reproduces_every_golden_document():
+    spec = importlib.util.spec_from_file_location(
+        "build_corpus", GOLDEN / "build_corpus.py")
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    moved = [f"{e['kind']}-{e['semifield']}-n{e['n']}-seed{e['seed']}"
+             for e in ENTRIES + VERIFY
+             if build_corpus.document(e["kind"], e["semifield"], e["n"],
+                                      e["seed"]) != e["document"]]
+    assert not moved
 
 
 @pytest.mark.parametrize(

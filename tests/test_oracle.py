@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,18 @@ def test_grid_search_rejects_data_of_another_semifield():
     data = generate("cheb_box", 1, seed=5, sf=MAX_TIMES)
     with pytest.raises(TagMismatchError):
         grid_search("cheb_box", data, _grid1(0, 1, F(1, 2)))
+
+
+def test_multiplicative_axis_is_counted_before_it_is_built():
+    # about 1.4e10 points from 1 to 1e6 in steps of 1 + 1e-9
+    data = generate("rayleigh", 1, seed=5, sf=MAX_TIMES)
+    grid = GridSpec(((MAX_TIMES.scalar(1.0), MAX_TIMES.scalar(1e6)),),
+                    MAX_TIMES.scalar(1.0 + 1e-9))
+    start = time.perf_counter()
+    with pytest.raises(GridOverflowError,
+                       match=r"^\d+ grid points exceed the cap 200000;"):
+        grid_search("rayleigh", data, grid)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_multiplicative_grid_axis():

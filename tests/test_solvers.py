@@ -1,6 +1,7 @@
 """Closed-form solvers: frozen spec examples, reductions between kinds,
 and targeted oracle cross-checks (the acceptance suite sweeps more widely)."""
 
+import inspect
 import pathlib
 import random
 import subprocess
@@ -476,11 +477,28 @@ def test_new_boxed_spectral_infeasible_box():
 # ----------------------------------------------------------------------
 # dispatcher and registry
 
+BORDERED_KINDS = ("rayleigh", "rayleigh_affine", "rayleigh_two_constraints",
+                  "rayleigh_lower", "rayleigh_box", "rayleigh_p_lower",
+                  "new_boxed_spectral")
+
+
 def test_registry_covers_all_kinds():
+    # solve() passes each input by keyword, its name in lower case, so every
+    # input must name a parameter and every required parameter an input
     assert len(PROBLEM_KINDS) == 17
     for kind, pk in PROBLEM_KINDS.items():
         assert pk.kind == kind
-        assert pk.solver is getattr(solvers, f"solve_{kind}")
+        names = [f.lower() for f in pk.shapes]
+        if kind in BORDERED_KINDS:
+            assert pk.solver.func is solvers.bordered_optimum
+            assert pk.solver.args == (kind,)
+            params = inspect.signature(pk.solver).parameters
+            assert set(names) <= set(params) - {"flag"}
+            assert {name for name, par in params.items()
+                    if par.default is par.empty} <= set(names)
+        else:
+            assert pk.solver is getattr(solvers, f"solve_{kind}")
+            assert list(inspect.signature(pk.solver).parameters) == names
 
 
 def test_dispatch_errors():
