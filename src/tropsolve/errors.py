@@ -38,7 +38,8 @@ class InvariantError(TropsolveError):
 
 
 class GridOverflowError(TropsolveError):
-    """A search grid exceeds the configured point cap."""
+    """A search grid, or the number of solution-set members to sample,
+    exceeds the configured point cap."""
 
 
 class DocumentError(TropsolveError):

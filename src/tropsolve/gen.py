@@ -20,26 +20,22 @@ from .linalg import Matrix, has_cycle, spectral_radius
 from .problems import PROBLEM_KINDS
 from .semifield import MAX_PLUS, MIN_PLUS, Scalar, Semifield
 
-DEFAULT_LO = -5
-DEFAULT_HI = 5
-DEFAULT_ZERO_PROB = 0.2
+LO = -5
+HI = 5
+ZERO_PROB = 0.2
 
 
 class _Draw:
     """Integer entry sampler over one additive semifield."""
 
-    def __init__(self, sf: Semifield, rng: random.Random,
-                 lo: int, hi: int, zero_prob: float):
+    def __init__(self, sf: Semifield, rng: random.Random):
         self.sf = sf
         self.rng = rng
-        self.lo = lo
-        self.hi = hi
-        self.zero_prob = zero_prob
 
     def entry(self, allow_zero: bool = True):
-        if allow_zero and self.rng.random() < self.zero_prob:
+        if allow_zero and self.rng.random() < ZERO_PROB:
             return None
-        return self.rng.randint(self.lo, self.hi)
+        return self.rng.randint(LO, HI)
 
     def matrix(self, rows: int, cols: int, allow_zero: bool = True) -> Matrix:
         return Matrix.from_rows(self.sf, [
@@ -53,7 +49,7 @@ class _Draw:
         v = self.vec(n)
         if v.is_zero:
             rows = v.to_payloads()
-            rows[self.rng.randrange(n)][0] = self.rng.randint(self.lo, self.hi)
+            rows[self.rng.randrange(n)][0] = self.entry(allow_zero=False)
             v = Matrix.from_rows(self.sf, rows)
         return v
 
@@ -61,14 +57,14 @@ class _Draw:
         rows = m.to_payloads()
         for i, r in enumerate(rows):
             if all(v is None for v in r):
-                r[self.rng.randrange(len(r))] = self.rng.randint(self.lo, self.hi)
+                r[self.rng.randrange(len(r))] = self.entry(allow_zero=False)
         return Matrix.from_rows(self.sf, rows)
 
     def patch_cols(self, m: Matrix) -> Matrix:
         rows = m.to_payloads()
         for j in range(m.cols):
             if all(rows[i][j] is None for i in range(m.rows)):
-                rows[self.rng.randrange(m.rows)][j] = self.rng.randint(self.lo, self.hi)
+                rows[self.rng.randrange(m.rows)][j] = self.entry(allow_zero=False)
         return Matrix.from_rows(self.sf, rows)
 
     def ensure_positive_radius(self, m: Matrix) -> Matrix:
@@ -76,7 +72,7 @@ class _Draw:
             return m
         rows = m.to_payloads()
         i = self.rng.randrange(m.rows)
-        rows[i][i] = self.rng.randint(self.lo, self.hi)
+        rows[i][i] = self.entry(allow_zero=False)
         return Matrix.from_rows(self.sf, rows)
 
     def cap_cycles(self, m: Matrix) -> Matrix:
@@ -201,15 +197,13 @@ def _exp_map(data: dict, target: Semifield) -> dict:
     return {k: remap(v) for k, v in data.items()}
 
 
-def generate(kind: str, n: int, seed: int, sf: Semifield = MAX_PLUS,
-             lo: int = DEFAULT_LO, hi: int = DEFAULT_HI,
-             zero_prob: float = DEFAULT_ZERO_PROB) -> dict:
+def generate(kind: str, n: int, seed: int, sf: Semifield = MAX_PLUS) -> dict:
     """Feasible random instance of `kind` with dimension n, seeded."""
     if kind not in PROBLEM_KINDS:
         raise KeyError(f"unknown problem kind {kind!r}")
     rng = random.Random(seed)
     base = sf if sf.additive else (MAX_PLUS if sf.maximizing else MIN_PLUS)
-    draw = _Draw(base, rng, lo, hi, zero_prob)
+    draw = _Draw(base, rng)
     data = (BUILDERS[kind](draw, n) if kind in BUILDERS
             else _build_bordered(draw, n, PROBLEM_KINDS[kind].shapes))
     if not sf.additive:

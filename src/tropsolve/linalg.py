@@ -3,7 +3,9 @@
 Vectors are column matrices (shape n x 1); row vectors are 1 x n matrices.
 ``A + B`` is the entrywise idempotent sum, ``A @ B`` the semifield matrix
 product, ``x * A`` scaling by a scalar, and ``A <= B`` the entrywise order.
-Everything is immutable.  Additive payloads are exact rationals in
+Everything is immutable.  A matrix stores rows of payloads, ``None`` for
+the zero, computes on them by its semifield's rules and wraps entries to
+:class:`Scalar` on the way out.  Additive payloads are exact rationals in
 canonical form: an ``int`` when the value is integral, else a ``Fraction``.
 The star and the spectral radius cost O(n^3) carrier operations each (a
 Floyd-Warshall closure and Karp's cycle-mean recurrence); on max-plus and
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .errors import DegenerateInputError, ShapeError, TagMismatchError
@@ -24,9 +27,9 @@ from .semifield import Scalar, Semifield, canonical, payload_text
 
 
 class Matrix:
-    """Rectangular array of same-semifield scalars."""
+    """Rectangular array over one semifield, stored as rows of payloads."""
 
-    __slots__ = ("sf", "rows", "cols", "data")
+    __slots__ = ("sf", "rows", "cols", "p")
 
     def __init__(self, sf: Semifield, data: tuple[tuple[Scalar, ...], ...]):
         rows = len(data)
@@ -40,10 +43,15 @@ class Matrix:
                 if s.sf is not sf:
                     raise TagMismatchError(
                         f"entry from {s.sf.tag} in a {sf.tag} matrix")
-        self.sf = sf
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.sf, self.rows, self.cols = sf, rows, cols
+        self.p = tuple(tuple(s.v for s in r) for r in data)
+
+    @classmethod
+    def _raw(cls, sf: Semifield, p: tuple[tuple, ...]) -> Matrix:
+        """Payload rows ``p`` computed by the rules of ``sf``: unchecked."""
+        m = cls.__new__(cls)
+        m.sf, m.rows, m.cols, m.p = sf, len(p), len(p[0]), p
+        return m
 
     @classmethod
     def from_rows(cls, sf: Semifield, rows) -> Matrix:
@@ -67,6 +75,12 @@ class Matrix:
         return cls(sf, tuple(tuple(one for _ in range(cols)) for _ in range(rows)))
 
     @property
+    def data(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries as Scalars."""
+        wrap = self.sf.wrap
+        return tuple(tuple(map(wrap, r)) for r in self.p)
+
+    @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -80,17 +94,17 @@ class Matrix:
     def __getitem__(self, key) -> Scalar:
         if isinstance(key, tuple):
             i, j = key
-            return self.data[i][j]
+            return self.sf.wrap(self.p[i][j])
         if self.cols == 1:
-            return self.data[key][0]
+            return self.sf.wrap(self.p[key][0])
         raise TypeError("single-index access is reserved for column vectors")
 
     def column(self, j: int) -> Matrix:
-        return Matrix(self.sf, tuple((r[j],) for r in self.data))
+        return Matrix._raw(self.sf, tuple((r[j],) for r in self.p))
 
     def to_payloads(self):
         """Nested lists of carrier values with ``None`` for zeros."""
-        return [[s.v for s in r] for r in self.data]
+        return [list(r) for r in self.p]
 
     # ------------------------------------------------------------------
     # algebra
@@ -106,9 +120,9 @@ class Matrix:
         self._check_same(other, "+")
         if self.shape != other.shape:
             raise ShapeError(f"cannot add shapes {self.shape} and {other.shape}")
-        return Matrix(self.sf, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)))
+        add = self.sf.add_payload
+        return Matrix._raw(self.sf, tuple(
+            tuple(map(add, ra, rb)) for ra, rb in zip(self.p, other.p)))
 
     def __matmul__(self, other: Matrix) -> Matrix:
         self._check_same(other, "@")
@@ -117,16 +131,13 @@ class Matrix:
                 f"cannot multiply shapes {self.shape} and {other.shape}")
         sf = self.sf
         additive, maximizing = sf.additive, sf.maximizing
-        # other in column-major order so the inner loop walks one column
-        ocols = [[other.data[k][j] for k in range(other.rows)]
-                 for j in range(other.cols)]
+        ocols = tuple(zip(*other.p))  # the inner loop walks one column
         out = []
-        for arow in self.data:
+        for arow in self.p:
             row_out = []
             for col in ocols:
                 best = None
-                for a, b in zip(arow, col):
-                    av, bv = a.v, b.v
+                for av, bv in zip(arow, col):
                     if av is None or bv is None:
                         continue
                     t = av + bv if additive else av * bv
@@ -137,14 +148,11 @@ class Matrix:
                             best = t
                     elif t < best:
                         best = t
-                if best is None:
-                    row_out.append(sf.zero)
-                    continue
                 if best.__class__ is Fraction and best.denominator == 1:
                     best = best.numerator
-                row_out.append(sf._wrap(best))
+                row_out.append(best)
             out.append(tuple(row_out))
-        return Matrix(sf, tuple(out))
+        return Matrix._raw(sf, tuple(out))
 
     def __rmul__(self, x: Scalar) -> Matrix:
         if not isinstance(x, Scalar):
@@ -152,13 +160,11 @@ class Matrix:
         if x.sf is not self.sf:
             raise TagMismatchError(
                 f"mixed semifields in scaling: {x.sf.tag} and {self.sf.tag}")
-        return Matrix(self.sf, tuple(
-            tuple(x * a for a in r) for r in self.data))
+        mul, xv = self.sf.mul_payload, x.v
+        return Matrix._raw(self.sf, tuple(tuple(mul(xv, a) for a in r) for r in self.p))
 
     def transpose(self) -> Matrix:
-        return Matrix(self.sf, tuple(
-            tuple(self.data[i][j] for i in range(self.rows))
-            for j in range(self.cols)))
+        return Matrix._raw(self.sf, tuple(zip(*self.p)))
 
     def conj(self) -> Matrix:
         """Multiplicative conjugate transpose: invert nonzero entries and
@@ -166,19 +172,19 @@ class Matrix:
         if self.is_zero:
             raise DegenerateInputError(
                 "conjugate transposition of an all-zero matrix")
-        zero = self.sf.zero
-        return Matrix(self.sf, tuple(
-            tuple(zero if self.data[i][j].is_zero else self.data[i][j].inv()
-                  for i in range(self.rows))
-            for j in range(self.cols)))
+        inv = self.sf.inv_payload
+        return Matrix._raw(self.sf, tuple(
+            tuple(None if v is None else inv(v) for v in c) for c in zip(*self.p)))
 
     def trace(self) -> Scalar:
         self._require_square("trace")
-        return self.sf.sum(self.data[i][i] for i in range(self.rows))
+        return self.sf.wrap(
+            reduce(self.sf.add_payload, (r[i] for i, r in enumerate(self.p)), None))
 
     def norm(self) -> Scalar:
         """Idempotent sum of all entries."""
-        return self.sf.sum(s for r in self.data for s in r)
+        return self.sf.wrap(
+            reduce(self.sf.add_payload, (v for r in self.p for v in r), None))
 
     def power(self, p: int) -> Matrix:
         self._require_square("power")
@@ -203,7 +209,7 @@ class Matrix:
     def item(self) -> Scalar:
         if self.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 matrix, got {self.shape}")
-        return self.data[0][0]
+        return self.sf.wrap(self.p[0][0])
 
     def _require_square(self, op: str) -> None:
         if self.rows != self.cols:
@@ -214,14 +220,13 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(s.is_zero for r in self.data for s in r)
+        return all(v is None for r in self.p for v in r)
 
     def is_row_regular(self) -> bool:
-        return all(any(not s.is_zero for s in r) for r in self.data)
+        return all(any(v is not None for v in r) for r in self.p)
 
     def is_col_regular(self) -> bool:
-        return all(any(not self.data[i][j].is_zero for i in range(self.rows))
-                   for j in range(self.cols))
+        return all(any(v is not None for v in c) for c in zip(*self.p))
 
     def is_regular(self) -> bool:
         return self.is_row_regular() and self.is_col_regular()
@@ -230,8 +235,8 @@ class Matrix:
         self._check_same(other, "<=")
         if self.shape != other.shape:
             raise ShapeError(f"cannot compare shapes {self.shape} and {other.shape}")
-        return all(a <= b for ra, rb in zip(self.data, other.data)
-                   for a, b in zip(ra, rb))
+        le = self.sf.le_payload
+        return all(all(map(le, ra, rb)) for ra, rb in zip(self.p, other.p))
 
     def __ge__(self, other: Matrix) -> bool:
         return other <= self
@@ -239,9 +244,9 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix) or other.sf is not self.sf:
             return False
+        eq = self.sf.eq_payload
         return self.shape == other.shape and all(
-            a == b for ra, rb in zip(self.data, other.data)
-            for a, b in zip(ra, rb))
+            all(map(eq, ra, rb)) for ra, rb in zip(self.p, other.p))
 
     __hash__ = None
 
@@ -258,7 +263,7 @@ def vector(sf: Semifield, entries) -> Matrix:
 def is_regular_vector(x: Matrix) -> bool:
     """No zero entries: a regular vector, or a matrix whose every column is
     a regular vector."""
-    return all(not s.is_zero for r in x.data for s in r)
+    return all(v is not None for r in x.p for v in r)
 
 
 def tr_functional(a: Matrix) -> Scalar:
@@ -282,11 +287,11 @@ def has_cycle(a: Matrix) -> bool:
     a cycle, i.e. ``spectral_radius(a)`` is nonzero: Kahn's topological sort
     of the nonzero pattern, O(n^2) with no semifield arithmetic."""
     a._require_square("cycle test")
-    indegree = [sum(r[j].v is not None for r in a.data) for j in range(a.rows)]
+    indegree = [sum(v is not None for v in c) for c in zip(*a.p)]
     ready = [j for j, d in enumerate(indegree) if d == 0]
     for i in ready:  # appended to while walked: a node once its in-edges are gone
-        for j, s in enumerate(a.data[i]):
-            if s.v is not None:
+        for j, v in enumerate(a.p[i]):
+            if v is not None:
                 indegree[j] -= 1
                 if indegree[j] == 0:
                     ready.append(j)
@@ -315,10 +320,10 @@ def unlift(v, scale: int):
 
 
 def _raw_rows(a: Matrix):
-    """``(payload rows, L)``: additive rows lifted to ints by :func:`lift`,
-    multiplicative ones as they are with ``L = 1``; the one stays
-    ``sf.one.v`` either way."""
-    return lift(a.to_payloads()) if a.sf.additive else (a.to_payloads(), 1)
+    """``(payload rows, L)`` as lists: additive rows lifted to ints by
+    :func:`lift`, multiplicative ones as they are with ``L = 1``; the one
+    stays ``sf.one.v`` either way."""
+    return lift(a.p) if a.sf.additive else (a.to_payloads(), 1)
 
 
 def spectral_radius(a: Matrix) -> Scalar:
@@ -331,8 +336,8 @@ def spectral_radius(a: Matrix) -> Scalar:
         lambda = sum over v of  meet over k < n of
                  (D_n(v) D_k(v)^-1)^(1/(n-k)),
 
-    with zero entries of ``D_n`` and ``D_k`` left out.  The walks run on
-    raw payloads, lifted to ints on additive carriers, where the meet and
+    with zero entries of ``D_n`` and ``D_k`` left out.  It all runs on raw
+    payloads, lifted to ints on additive carriers, where the meet and
     the sum compare the means ``(D_n(v) - D_k(v)) / (n - k)`` by cross
     multiplication and one ``Fraction`` is built at the end: exact.  The
     zero scalar signals a matrix without nonzero cycles.
@@ -374,21 +379,20 @@ def spectral_radius(a: Matrix) -> Scalar:
                 best = (wn, wd)
         if best is None:
             return sf.zero
-        return sf._wrap(canonical(Fraction(sign * best[0], best[1] * scale)))
-    lam = sf.zero
+        return sf.wrap(canonical(Fraction(sign * best[0], best[1] * scale)))
+    lam = None
     for v, top in enumerate(tops):
         if top is None:
             continue
-        top = sf._wrap(top)
-        worst = top ** Fraction(1, n)  # k = 0, where D_0(v) is one
+        worst = top ** (1 / n)  # k = 0, where D_0(v) is one
         for k in range(1, n):
             dk = walks[k][v]
             if dk is not None:
-                mean = (top * sf._wrap(dk).inv()) ** Fraction(1, n - k)
-                if mean < worst:
+                mean = (top * (1.0 / dk)) ** (1 / (n - k))
+                if not sf.le_payload(worst, mean):
                     worst = mean
-        lam = lam + worst
-    return lam
+        lam = sf.add_payload(lam, worst)
+    return sf.wrap(lam)
 
 
 @dataclass(frozen=True)
@@ -413,7 +417,7 @@ def _plus_closure(a: Matrix):
     d, scale = _raw_rows(a)
     for k, row_k in enumerate(d):
         pivot = row_k[k]
-        if pivot is not None and not sf._le_payload(pivot, one):
+        if not sf.le_payload(pivot, one):
             return None
         out_k = [(j, v) for j, v in enumerate(row_k) if v is not None]
         # row k is unchanged by its own pivot, since (k, k) is at most one
@@ -459,45 +463,44 @@ def kleene_star(a: Matrix) -> StarClosure:
     plus = _plus_closure(a)
     if plus is None:
         return StarClosure(_power_sum(a), False)
-    sf = a.sf
-    cells = [[sf.zero if v is None else sf._wrap(v) for v in r] for r in plus]
-    for i, r in enumerate(cells):
-        r[i] = sf.one + r[i]
-    return StarClosure(Matrix(sf, tuple(map(tuple, cells))), True)
+    add, one = a.sf.add_payload, a.sf.one.v
+    for i, r in enumerate(plus):
+        r[i] = add(one, r[i])
+    return StarClosure(Matrix._raw(a.sf, tuple(map(tuple, plus))), True)
 
 
 # ----------------------------------------------------------------------
 # JSON form: ``null`` for zero, integers, rational strings ("7/2"), floats
 
 def encode_payload(v):
-    """A carrier value as JSON: an int, a rational string or a float."""
-    if isinstance(v, float):
+    """A payload as JSON: null, an int, a rational string or a float."""
+    if v is None or isinstance(v, float):
         return v
     text = payload_text(v)  # refuses a rational too long to print
     return v.numerator if v.denominator == 1 else text
 
 
 def encode_scalar(s: Scalar | None):
-    return None if s is None or s.is_zero else encode_payload(s.v)
+    return None if s is None else encode_payload(s.v)
 
 
 def encode_vector(v: Matrix | None):
     if v is None:
         return None
-    return [encode_scalar(v[i]) for i in range(v.dim)]
+    return [encode_payload(v.p[i][0]) for i in range(v.dim)]
 
 
 def encode_matrix(m: Matrix | None):
     if m is None:
         return None
-    return [[encode_scalar(s) for s in row] for row in m.data]
+    return [[encode_payload(v) for v in row] for row in m.p]
 
 
 # ----------------------------------------------------------------------
 # text form: rows of whitespace-separated literals, '.' or 'null' for zero
 
 def format_matrix(a: Matrix) -> str:
-    cells = [[s.literal(".") for s in r] for r in a.data]
+    cells = [["." if v is None else payload_text(v) for v in r] for r in a.p]
     widths = [max(len(cells[i][j]) for i in range(a.rows)) for j in range(a.cols)]
     return "\n".join(
         "  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells)

@@ -99,7 +99,7 @@ def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
     count = _axis_count(sf, lo, hi, step)
     if sf.additive:
         return [sf.scalar(lo.v + step.v * i) for i in range(count)]
-    return [sf._wrap(v) for v in itertools.accumulate(
+    return [sf.wrap(v) for v in itertools.accumulate(
         itertools.repeat(step.v, count - 1), operator.mul, initial=lo.v)]
 
 
@@ -108,7 +108,7 @@ def _payloads(data: dict) -> list:
     out = []
     for value in data.values():
         if isinstance(value, Matrix):
-            out.extend(s.v for r in value.data for s in r if s.v is not None)
+            out.extend(v for r in value.p for v in r if v is not None)
         elif isinstance(value, Scalar) and value.v is not None:
             out.append(value.v)
     return out
@@ -146,7 +146,7 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         raise GridOverflowError(
             f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
             f"with --step or raise grid.cap in the document")
-    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
+    axes = [[s.v for s in _axis(sf, lo, hi, grid.step)] for lo, hi in grid.intervals]
 
     walk_data, walk_axes, scale = data, axes, 1
     if sf.additive:
@@ -154,16 +154,13 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
             raise TagMismatchError(
                 f"a {sf.tag} grid over data of another semifield")
         # one L for the axes and every input, lifted as one list of rows
-        blocks = [[[s.v for s in ax] for ax in axes]] + [
-            value.to_payloads() if isinstance(value, Matrix) else [[value.v]]
-            for value in data.values()]
+        blocks = [axes] + [value.p if isinstance(value, Matrix) else [[value.v]]
+                           for value in data.values()]
         rows, scale = lift([r for block in blocks for r in block])
-        rows = iter(rows)
-        walk_axes, *lifted = [
-            tuple(tuple(sf.zero if v is None else sf._wrap(v) for v in next(rows))
-                  for _ in block) for block in blocks]
-        walk_data = {name: Matrix(sf, m) if isinstance(value, Matrix) else m[0][0]
-                     for (name, value), m in zip(data.items(), lifted)}
+        rows = map(tuple, rows)
+        walk_axes, *lifted = [tuple(next(rows) for _ in block) for block in blocks]
+        walk_data = {k: Matrix._raw(sf, m) if isinstance(v, Matrix) else sf.wrap(m[0][0])
+                     for (k, v), m in zip(data.items(), lifted)}
 
     minimizing = pk.sense == "min"
     feasible = pk.feasible
@@ -172,7 +169,7 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     best_point = None
     n_feasible = 0
     for point in itertools.product(*map(zip, walk_axes, axes)):
-        x = Matrix(sf, tuple((s,) for s, _ in point))
+        x = Matrix._raw(sf, tuple((s,) for s, _ in point))
         if not feasible(walk_data, x):
             continue
         n_feasible += 1
@@ -182,8 +179,8 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     if best is None:
         return GridResult(False, None, None, total, n_feasible)
     if not best.is_zero:
-        best = sf._wrap(unlift(best.v, scale))
-    argbest = Matrix(sf, tuple((u,) for _, u in best_point))
+        best = sf.wrap(unlift(best.v, scale))
+    argbest = Matrix._raw(sf, tuple((u,) for _, u in best_point))
     return GridResult(True, best, argbest, total, n_feasible)
 
 
@@ -331,7 +328,8 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
     """Cross-check a solver report against sampling and grid search.
 
     Checks: (a) sampled members are feasible, (b) they attain the reported
-    optimum exactly, (c) the grid optimum equals the reported one.
+    optimum exactly, (c) the grid optimum equals the reported one.  More
+    samples than the grid's point cap raise :class:`GridOverflowError`.
     """
     pk = PROBLEM_KINDS[kind]
 
@@ -346,6 +344,11 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
             feasibility_failures=(), attainment_failures=(),
             grid_points=res.points_total, passed=not res.found)
 
+    cap = DEFAULT_GRID_CAP if grid is None else grid.cap
+    if samples > cap:
+        raise GridOverflowError(
+            f"{samples} samples exceed the cap {cap}; lower --samples "
+            f"or raise grid.cap in the document")
     members = sample_solution_set(report.solution, samples, seed, window)
     bad_feas = tuple(i for i, x in enumerate(members)
                      if not pk.feasible(data, x))

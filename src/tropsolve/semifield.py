@@ -8,10 +8,12 @@ the rationals.  Exact rationals are kept in canonical form (see
 :func:`canonical`): an ``int`` when the value is integral, else a
 ``fractions.Fraction``, so integral data compute on Python ints.
 
-Operator sugar on :class:`Scalar`: ``+`` is the idempotent addition,
-``*`` the group multiplication, ``**`` the (rational) power, and the
-comparison operators follow the order induced by the addition
-(``a <= b`` iff ``a + b == b``).
+The carrier rules live on :class:`Semifield`, over raw payloads with
+``None`` for the zero; :class:`Scalar` and the matrices of
+:mod:`tropsolve.linalg` compute through them.  Operator sugar on
+:class:`Scalar`: ``+`` is the idempotent addition, ``*`` the group
+multiplication, ``**`` the (rational) power, and the comparison operators
+follow the order induced by the addition (``a <= b`` iff ``a + b == b``).
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class Semifield:
                 f"{self.tag} carrier values must be finite and positive, got {value!r}")
         return out
 
-    def _wrap(self, payload) -> Scalar:
-        # fast path for already-validated payloads (internal hot loops)
-        return Scalar(self, payload, _token=_TOKEN)
+    def wrap(self, u) -> Scalar:
+        """The Scalar of a payload computed by the rules below: unchecked."""
+        return self._zero if u is None else Scalar(self, u, _token=_TOKEN)
 
     def from_literal(self, text: str) -> Scalar:
         """Parse a scalar literal: decimal or rational text, or the zero
@@ -158,16 +160,34 @@ class Semifield:
             acc = acc + s
         return acc
 
-    # carrier-level order: the semifield order restricted to nonzero payloads
-    def _le_payload(self, u, v) -> bool:
+    # the carrier rules on payloads, None being the zero; the addition picks by
+    # the order, as Scalar + does, so a tie (within REL_TOL on floats) keeps v
+    def add_payload(self, u, v):
+        return v if self.le_payload(u, v) else u
+
+    def mul_payload(self, u, v):
+        if u is None or v is None:
+            return None
+        return canonical(u + v) if self.additive else u * v
+
+    def inv_payload(self, u):
+        if u is None:
+            raise ZeroInversionError("the semifield zero has no inverse")
+        return -u if self.additive else 1.0 / u
+
+    def le_payload(self, u, v) -> bool:  # the zero is the least element
+        if u is None:
+            return True
+        if v is None:
+            return False
         if not self.additive and math.isclose(u, v, rel_tol=REL_TOL):
             return True
         return u <= v if self.maximizing else v <= u
 
-    def _eq_payload(self, u, v) -> bool:
-        if self.additive:
-            return u == v
-        return math.isclose(u, v, rel_tol=REL_TOL)
+    def eq_payload(self, u, v) -> bool:
+        if u is None or v is None:
+            return u is v
+        return u == v if self.additive else math.isclose(u, v, rel_tol=REL_TOL)
 
 
 # guards Scalar.__init__ against accidental direct construction with a raw payload
@@ -198,31 +218,16 @@ class Scalar:
 
     def __add__(self, other: Scalar) -> Scalar:
         self._check_tag(other)
-        if self.v is None:
-            return other
-        if other.v is None:
-            return self
-        if self.sf._le_payload(self.v, other.v):
-            return other
-        return self
+        return other if self.sf.le_payload(self.v, other.v) else self
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented  # lets Matrix.__rmul__ handle scalar*matrix
         self._check_tag(other)
-        if self.v is None or other.v is None:
-            return self.sf._zero
-        if self.sf.additive:
-            payload = canonical(self.v + other.v)
-        else:
-            payload = self.v * other.v
-        return Scalar(self.sf, payload, _token=_TOKEN)
+        return self.sf.wrap(self.sf.mul_payload(self.v, other.v))
 
     def inv(self) -> Scalar:
-        if self.v is None:
-            raise ZeroInversionError("the semifield zero has no inverse")
-        payload = -self.v if self.sf.additive else 1.0 / self.v
-        return Scalar(self.sf, payload, _token=_TOKEN)
+        return self.sf.wrap(self.sf.inv_payload(self.v))
 
     def __pow__(self, exponent) -> Scalar:
         if not isinstance(exponent, (int, Fraction)):
@@ -239,16 +244,11 @@ class Scalar:
                                          v.denominator * exponent.denominator))
         else:
             payload = self.v ** float(exponent)
-        return Scalar(self.sf, payload, _token=_TOKEN)
+        return self.sf.wrap(payload)
 
-    # order induced by the idempotent addition; the zero is the least element
     def __le__(self, other: Scalar) -> bool:
         self._check_tag(other)
-        if self.v is None:
-            return True
-        if other.v is None:
-            return False
-        return self.sf._le_payload(self.v, other.v)
+        return self.sf.le_payload(self.v, other.v)
 
     def __lt__(self, other: Scalar) -> bool:
         return self <= other and not self == other
@@ -260,11 +260,8 @@ class Scalar:
         return other < self
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar) or other.sf is not self.sf:
-            return False
-        if self.v is None or other.v is None:
-            return self.v is None and other.v is None
-        return self.sf._eq_payload(self.v, other.v)
+        return (isinstance(other, Scalar) and other.sf is self.sf
+                and self.sf.eq_payload(self.v, other.v))
 
     __hash__ = None  # tolerance-based equality on (., x) carriers
 

@@ -346,8 +346,8 @@ def bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
     if s.is_zero and (y.is_zero or right.is_zero):
         theta = spectral_radius(top)  # the border node is on no cycle
     else:
-        rows = [t + e for t, e in zip(top.data, right.data)] + [y.data[0] + (s,)]
-        theta = spectral_radius(Matrix(sf, tuple(rows)))
+        rows = tuple(t + e for t, e in zip(top.p, right.p)) + (y.p[0] + (s.v,),)
+        theta = spectral_radius(Matrix._raw(sf, rows))
     t_inv = theta.inv()
     scaled = t_inv * a if b is None else (t_inv * a) + b
     if flag is None:

@@ -25,6 +25,7 @@ from tropsolve import (
     TropsolveError,
     cycle_mean_radius,
     grid_search,
+    kleene_star,
     sample_solution_set,
     solve,
     spectral_radius,
@@ -161,3 +162,22 @@ def test_exponential_map_members_transport():
         assert pk.feasible(mul_data, x)
         assert pk.objective(mul_data, x) == mul_rep.optimum
     assert mul_rep.optimum == MAX_TIMES.scalar(2.0 ** float(add_rep.optimum.v))
+
+
+#: two multiplicative payloads within ``REL_TOL`` of each other, but not equal
+TIES = ((1.0, 1.0 - 1e-12), (1.0, 1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("sf", (MAX_TIMES, MIN_TIMES), ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("u, w", TIES)
+def test_tolerance_ties_keep_the_second_operand(sf, u, w):
+    # a tie within REL_TOL is decided by operand order, never by the numbers
+    assert u != w and sf.scalar(u) == sf.scalar(w)
+    assert (sf.scalar(u) + sf.scalar(w)).v == w
+    assert (sf.scalar(w) + sf.scalar(u)).v == u
+    total = Matrix.from_rows(sf, [[u, w]]) + Matrix.from_rows(sf, [[w, u]])
+    assert total.to_payloads() == [[w, u]]
+    # the star's diagonal is one + (A+)_ii, so a tie there keeps (A+)_ii
+    star = kleene_star(Matrix.from_rows(sf, [[w]]))
+    assert star.closure_valid
+    assert star.matrix.to_payloads() == [[w]]

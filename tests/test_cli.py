@@ -135,6 +135,20 @@ def test_verify_counts_the_grid_before_building_it(tmp_path, capsys):
         "error: 2000000001 grid points exceed the cap 200000")
 
 
+def test_verify_bounds_the_sample_count_by_the_grid_cap(tmp_path, capsys):
+    from tropsolve.cli import main
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"kind": "rayleigh", "A": [[1, 2], [3, 4]],
+                                "grid": {"cap": 1000}}))
+    for samples in ("5000", "1000000000"):
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--samples", samples]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {samples} samples exceed the cap 1000;")
+        assert "--samples" in err and "grid.cap" in err
+
+
 def test_algebra_commands(tmp_path):
     mat = tmp_path / "m.txt"
     mat.write_text("1 2\n3 4\n")
