@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except GridOverflowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
-    except (OSError, TropsolveError) as exc:
+    except (OSError, UnicodeDecodeError, TropsolveError) as exc:
         return _fail(str(exc))
 
 

@@ -35,23 +35,25 @@ class ProblemDocument:
 # ----------------------------------------------------------------------
 # scalar/matrix decoding (the encoders live in ``linalg``)
 
-def _decode_scalar(sf: Semifield, raw, field: str) -> Scalar:
-    if raw is None:
-        return sf.zero
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+def _decode_payload(sf: Semifield, raw, field: str):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str, type(None))):
         raise DocumentError(f"expected a number, rational string or null, "
                             f"got {raw!r}", field)
     try:
-        return sf.scalar(raw)
+        return sf.payload(raw)
     except (ValueError, ArithmeticError, CarrierDomainError) as exc:
         raise DocumentError(str(exc), field) from exc
+
+
+def _decode_scalar(sf: Semifield, raw, field: str) -> Scalar:
+    return sf.wrap(_decode_payload(sf, raw, field))
 
 
 def _decode_vector(sf: Semifield, raw, field: str) -> Matrix:
     if not isinstance(raw, list) or not raw or any(isinstance(v, list) for v in raw):
         raise DocumentError("expected a flat non-empty array", field)
-    return Matrix(sf, tuple(
-        (_decode_scalar(sf, v, f"{field}[{i}]"),) for i, v in enumerate(raw)))
+    return Matrix._raw(sf, tuple(
+        (_decode_payload(sf, v, f"{field}[{i}]"),) for i, v in enumerate(raw)))
 
 
 def _decode_matrix(sf: Semifield, raw, field: str) -> Matrix:
@@ -64,9 +66,9 @@ def _decode_matrix(sf: Semifield, raw, field: str) -> Matrix:
         if len(r) != width:
             raise DocumentError(f"row has {len(r)} entries, expected {width}",
                                 f"{field}[{i}]")
-        rows.append(tuple(_decode_scalar(sf, v, f"{field}[{i}][{j}]")
+        rows.append(tuple(_decode_payload(sf, v, f"{field}[{i}][{j}]")
                           for j, v in enumerate(r)))
-    return Matrix(sf, tuple(rows))
+    return Matrix._raw(sf, tuple(rows))
 
 
 #: by the number of dimension letters a declared shape has
@@ -79,18 +81,19 @@ _ENCODERS = (encode_scalar, encode_vector, encode_matrix)
 # documents
 
 def parse_document(text: str) -> ProblemDocument:
+    # a JSONDecodeError, an int past the digit limit, or nesting too deep
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     tag = raw.get("semifield", "max-plus")
-    if tag not in SEMIFIELDS:
+    if not isinstance(tag, str) or tag not in SEMIFIELDS:
         raise DocumentError(f"unknown semifield {tag!r}", "semifield")
     sf = SEMIFIELDS[tag]
     kind = raw.get("kind")
-    if kind not in PROBLEM_KINDS:
+    if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
         raise DocumentError(f"unknown problem kind {kind!r}", "kind")
     data = {}
     for f, letters in PROBLEM_KINDS[kind].shapes.items():

@@ -3,10 +3,12 @@
 Vectors are column matrices (shape n x 1); row vectors are 1 x n matrices.
 ``A + B`` is the entrywise idempotent sum, ``A @ B`` the semifield matrix
 product, ``x * A`` scaling by a scalar, and ``A <= B`` the entrywise order.
-Everything is immutable.  A matrix stores rows of payloads, ``None`` for
-the zero, computes on them by its semifield's rules and wraps entries to
-:class:`Scalar` on the way out.  Additive payloads are exact rationals in
-canonical form: an ``int`` when the value is integral, else a ``Fraction``.
+Everything is immutable.  ``Matrix(sf, rows)`` takes Scalars or carrier
+values through :meth:`Semifield.payload` and stores rows of payloads,
+``None`` for the zero; a matrix computes on them by its semifield's rules
+and wraps entries to :class:`Scalar` on the way out.  Additive payloads
+are exact rationals in canonical form: an ``int`` when integral, else a
+``Fraction``.
 The star and the spectral radius cost O(n^3) carrier operations each (a
 Floyd-Warshall closure and Karp's cycle-mean recurrence); on max-plus and
 min-plus both run on Python ints, the matrix lifted once by :func:`lift`
@@ -31,20 +33,17 @@ class Matrix:
 
     __slots__ = ("sf", "rows", "cols", "p")
 
-    def __init__(self, sf: Semifield, data: tuple[tuple[Scalar, ...], ...]):
-        rows = len(data)
-        if rows == 0 or len(data[0]) == 0:
+    def __init__(self, sf: Semifield, rows):
+        """Rows of entries, each a Scalar of ``sf`` or a carrier value
+        (``None`` for the zero), checked by :meth:`Semifield.payload`."""
+        payload = sf.payload
+        p = tuple(tuple(map(payload, r)) for r in rows)
+        if not p or not p[0]:
             raise ShapeError("matrices must have at least one row and column")
-        cols = len(data[0])
-        for r in data:
-            if len(r) != cols:
-                raise ShapeError("ragged rows")
-            for s in r:
-                if s.sf is not sf:
-                    raise TagMismatchError(
-                        f"entry from {s.sf.tag} in a {sf.tag} matrix")
-        self.sf, self.rows, self.cols = sf, rows, cols
-        self.p = tuple(tuple(s.v for s in r) for r in data)
+        cols = len(p[0])
+        if any(len(r) != cols for r in p):
+            raise ShapeError("ragged rows")
+        self.sf, self.rows, self.cols, self.p = sf, len(p), cols, p
 
     @classmethod
     def _raw(cls, sf: Semifield, p: tuple[tuple, ...]) -> Matrix:
@@ -56,23 +55,20 @@ class Matrix:
     @classmethod
     def from_rows(cls, sf: Semifield, rows) -> Matrix:
         """Build from nested payloads; ``None`` marks the semifield zero."""
-        return cls(sf, tuple(tuple(sf.scalar(v) for v in r) for r in rows))
+        return cls(sf, rows)
 
     @classmethod
     def identity(cls, sf: Semifield, n: int) -> Matrix:
-        one, zero = sf.one, sf.zero
-        return cls(sf, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        one = sf.one.v
+        return cls(sf, [[one if i == j else None for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, sf: Semifield, rows: int, cols: int) -> Matrix:
-        zero = sf.zero
-        return cls(sf, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
+        return cls(sf, [[None] * cols] * rows)
 
     @classmethod
     def ones(cls, sf: Semifield, rows: int, cols: int) -> Matrix:
-        one = sf.one
-        return cls(sf, tuple(tuple(one for _ in range(cols)) for _ in range(rows)))
+        return cls(sf, [[sf.one.v] * cols] * rows)
 
     @property
     def data(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -519,4 +515,4 @@ def parse_matrix(sf: Semifield, text: str) -> Matrix:
     for r in rows:
         if len(r) != width:
             raise ShapeError("ragged matrix rows")
-    return Matrix(sf, tuple(tuple(r) for r in rows))
+    return Matrix(sf, rows)

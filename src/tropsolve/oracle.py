@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linalg import Matrix, lift, unlift
 from .problems import PROBLEM_KINDS
-from .semifield import Scalar, Semifield
+from .semifield import Scalar, Semifield, canonical
 from .solvers import INFEASIBLE, OptimumReport
 
 NO_FEASIBLE_POINT = "NO_FEASIBLE_POINT"
@@ -94,13 +94,13 @@ def _axis_count(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar,
     return count
 
 
-def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list[Scalar]:
-    """Every point of one axis, from ``lo`` in steps of ``step``."""
+def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list:
+    """The payloads of one axis, from ``lo`` in steps of ``step``."""
     count = _axis_count(sf, lo, hi, step)
     if sf.additive:
-        return [sf.scalar(lo.v + step.v * i) for i in range(count)]
-    return [sf.wrap(v) for v in itertools.accumulate(
-        itertools.repeat(step.v, count - 1), operator.mul, initial=lo.v)]
+        return [canonical(lo.v + step.v * i) for i in range(count)]
+    return list(itertools.accumulate(
+        itertools.repeat(step.v, count - 1), operator.mul, initial=lo.v))
 
 
 def _payloads(data: dict) -> list:
@@ -146,7 +146,7 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         raise GridOverflowError(
             f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
             f"with --step or raise grid.cap in the document")
-    axes = [[s.v for s in _axis(sf, lo, hi, grid.step)] for lo, hi in grid.intervals]
+    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
 
     walk_data, walk_axes, scale = data, axes, 1
     if sf.additive:

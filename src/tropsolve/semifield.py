@@ -8,8 +8,9 @@ the rationals.  Exact rationals are kept in canonical form (see
 :func:`canonical`): an ``int`` when the value is integral, else a
 ``fractions.Fraction``, so integral data compute on Python ints.
 
-The carrier rules live on :class:`Semifield`, over raw payloads with
-``None`` for the zero; :class:`Scalar` and the matrices of
+Values enter through :meth:`Semifield.payload`, the one checked coercion to
+a payload, ``None`` for the zero.  The carrier rules live on
+:class:`Semifield`, over those payloads; :class:`Scalar` and the matrices of
 :mod:`tropsolve.linalg` compute through them.  Operator sugar on
 :class:`Scalar`: ``+`` is the idempotent addition, ``*`` the group
 multiplication, ``**`` the (rational) power, and the comparison operators
@@ -110,16 +111,19 @@ class Semifield:
         return self._one
 
     def scalar(self, value) -> Scalar:
-        """Wrap a carrier value (``None`` means the zero) into a Scalar."""
+        """The Scalar of a value, checked by :meth:`payload`."""
+        return self.wrap(self.payload(value))
+
+    def payload(self, value):
+        """The checked payload of a value: ``None`` (the zero) as it is, a
+        Scalar of this semifield unwrapped (one of another raises
+        :class:`TagMismatchError`), a number or literal in canonical form."""
         if value is None:
-            return self._zero
+            return None
         if isinstance(value, Scalar):
             if value.sf is not self:
                 raise TagMismatchError(f"{value!r} is not a {self.tag} scalar")
-            return value
-        return Scalar(self, self._coerce(value), _token=_TOKEN)
-
-    def _coerce(self, value):
+            return value.v
         if self.additive:
             if isinstance(value, int):
                 return int(value)  # a bool payload would print as True

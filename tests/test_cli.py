@@ -226,6 +226,11 @@ _BAD_INPUTS = {
     "zero grid margin in the document": (
         {"kind": "rayleigh", "A": [[1]], "grid": {"margin": 0}},
         ("verify", "{doc}"), "margin"),
+    "kind that is a list": (
+        {"kind": ["rayleigh"], "A": [[1]]}, ("solve", "{doc}"), "kind"),
+    "semifield that is an object": (
+        {"semifield": {"max-plus": 1}, "kind": "rayleigh", "A": [[1]]},
+        ("solve", "{doc}"), "semifield"),
 }
 
 
@@ -238,6 +243,22 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, case):
     r = run(*(a.format(doc=path) for a in args))
     assert r.returncode == 1
     assert r.stderr.startswith("error: ") and named in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("text, args", [
+    (b"\xff\xfe{}", ("solve",)),
+    (b"\xff\xfe{}", ("verify",)),
+    (b"\xff\xfe1 2\n3 4\n", ("algebra", "star")),
+    (b"[" * 10000, ("solve",)),
+], ids=["utf-16 mark, solve", "utf-16 mark, verify", "utf-16 mark, algebra",
+        "nesting 10000 deep"])
+def test_unreadable_text_is_an_error_not_a_traceback(tmp_path, text, args):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    r = run(*args, str(path))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
 
 

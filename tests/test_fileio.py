@@ -48,6 +48,24 @@ def test_parse_document_nulls_and_rationals():
     assert a[0, 0].is_zero and a[0, 1].v == F(7, 2)
 
 
+def test_decoded_entries_are_exact_payloads():
+    doc = parse_document(json.dumps({
+        "kind": "rayleigh", "A": [[4, "4/2", 2.0], ["7/2", None, 0]]}))
+    p = doc.data["A"].p
+    assert p == ((4, 2, 2), (F(7, 2), None, 0))
+    assert [[type(v) for v in r] for r in p] == [
+        [int, int, int], [F, type(None), int]]
+    doc = parse_document(json.dumps({
+        "semifield": "max-times", "kind": "cheb_box",
+        "p": [2], "q": [1], "g": [1], "h": [3]}))
+    assert doc.data["p"].p == ((2.0,),) and type(doc.data["p"].p[0][0]) is float
+    with pytest.raises(DocumentError, match=r"A\[0\]\[1\]"):
+        parse_document(json.dumps({"kind": "rayleigh", "A": [[1, True]]}))
+    with pytest.raises(DocumentError, match=r"p\[0\]"):
+        parse_document(json.dumps({
+            "kind": "cheb_box", "p": [True], "q": [0], "g": [1], "h": [3]}))
+
+
 def test_parse_document_errors_carry_field_paths():
     base = {"kind": "cheb_box", "p": [4], "q": [0], "g": [1], "h": [3]}
 

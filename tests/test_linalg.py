@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from tropsolve import (
     MAX_PLUS,
+    MAX_TIMES,
     MIN_PLUS,
+    MIN_TIMES,
+    CarrierDomainError,
     DegenerateInputError,
     Matrix,
     ShapeError,
+    TagMismatchError,
     cycle_mean_radius,
     format_matrix,
     is_regular_vector,
@@ -25,6 +29,31 @@ from tropsolve import (
 
 def mp(rows):
     return Matrix.from_rows(MAX_PLUS, rows)
+
+
+# ----------------------------------------------------------------------
+# the one way in: every entry is checked by Semifield.payload
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.tag)
+def test_entries_enter_as_scalars_or_carrier_values(sf):
+    values = [[1, None], ["7/2", 2.5]]
+    from_values = Matrix(sf, values)
+    from_scalars = Matrix(sf, [[sf.scalar(v) for v in r] for r in values])
+    assert from_values.p == from_scalars.p == Matrix.from_rows(sf, values).p
+    kinds = [[type(v) for v in r] for r in from_scalars.p]
+    assert [[type(v) for v in r] for r in from_values.p] == kinds
+    assert kinds == ([[int, type(None)], [F, F]] if sf.additive
+                     else [[float, type(None)], [float, float]])
+    other = MAX_TIMES if sf.additive else MAX_PLUS
+    with pytest.raises(TagMismatchError):
+        Matrix(sf, [[1, other.scalar(2)]])
+    with pytest.raises(ShapeError):
+        Matrix(sf, [[1, 2], [3]])
+    with pytest.raises(ShapeError):
+        Matrix(sf, [])
+    with pytest.raises(CarrierDomainError, match="4300 digits"):
+        Matrix(sf, [[1, "1e99999"]])
 
 
 # ----------------------------------------------------------------------
