@@ -95,8 +95,9 @@ def parse_document(text: str) -> ProblemDocument:
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in PROBLEM_KINDS:
         raise DocumentError(f"unknown problem kind {kind!r}", "kind")
+    shapes = PROBLEM_KINDS[kind].shapes
     data = {}
-    for f, letters in PROBLEM_KINDS[kind].shapes.items():
+    for f, letters in shapes.items():
         if f not in raw:
             raise DocumentError(f"required {_ROLES[len(letters)]} field missing", f)
         data[f] = _DECODERS[len(letters)](sf, raw[f], f)
@@ -105,6 +106,14 @@ def parse_document(text: str) -> ProblemDocument:
     for name, section in (("grid", grid), ("verify", verify)):
         if section is not None and not isinstance(section, dict):
             raise DocumentError("expected an object", name)
+    # a misspelt key would fall back to a default unnoticed
+    for prefix, keys, known in (
+            ("", raw, ("kind", "semifield", "grid", "verify", *shapes)),
+            ("grid.", grid or {}, ("step", "margin", "cap")),
+            ("verify.", verify or {}, ("samples", "seed", "window"))):
+        for key in keys:
+            if key not in known:
+                raise DocumentError("unknown key", prefix + key)
     return ProblemDocument(sf, kind, data, grid, verify)
 
 

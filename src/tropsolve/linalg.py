@@ -508,11 +508,11 @@ def parse_matrix(sf: Semifield, text: str) -> Matrix:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([sf.from_literal(tok) for tok in line.split()])
+        rows.append(tuple(map(sf.literal_payload, line.split())))
     if not rows:
         raise ShapeError("no matrix rows found")
     width = len(rows[0])
     for r in rows:
         if len(r) != width:
             raise ShapeError("ragged matrix rows")
-    return Matrix(sf, rows)
+    return Matrix._raw(sf, tuple(rows))

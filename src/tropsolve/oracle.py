@@ -21,7 +21,6 @@ from .errors import (
     DegenerateInputError,
     GridOverflowError,
     ShapeError,
-    TagMismatchError,
 )
 from .linalg import Matrix, lift, unlift
 from .problems import PROBLEM_KINDS
@@ -121,17 +120,18 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     and its first (lexicographically smallest) attaining point come back,
     or a not-found result when the grid holds no feasible point.
 
-    On max-plus and min-plus the walk runs on Python ints: the data and
-    every grid point are lifted together by :func:`linalg.lift`, ``x -> L x``
+    The data become payloads once, and each point is a payload tuple for
+    the kind's ``value`` and ``admits``; a point replaces the best only
+    when ``le_payload`` and ``eq_payload`` say it is strictly better.  On
+    max-plus and min-plus the walk runs on Python ints: the data and every
+    grid point are lifted together by :func:`linalg.lift`, ``x -> L x``
     with ``L`` the lcm of their denominators, which is the power map
     ``a -> a^L``.  For ``L > 0`` it is an automorphism of the semifield: it
     commutes with the addition, the multiplication and the inverse and
     keeps the order, so feasibility, every comparison and the tie rule are
-    those of the unscaled walk, and ``objective(L data, L x)`` is
-    ``L objective(data, x)``.  The value is divided by ``L`` once, and
-    ``argbest`` is built from the unscaled axes, so the scaled payloads
-    never leave this function.  Multiplicative carriers walk their float
-    payloads as given.
+    those of the unscaled walk, and ``value(L d, L x)`` is ``L value(d,
+    x)``.  The value and ``argbest`` are divided by ``L`` once.
+    Multiplicative carriers walk their float payloads as given.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -148,40 +148,36 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
             f"with --step or raise grid.cap in the document")
     axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
 
-    walk_data, walk_axes, scale = data, axes, 1
+    d, scale = pk.payloads(data, sf), 1
     if sf.additive:
-        if any(value.sf is not sf for value in data.values()):
-            raise TagMismatchError(
-                f"a {sf.tag} grid over data of another semifield")
         # one L for the axes and every input, lifted as one list of rows
-        blocks = [axes] + [value.p if isinstance(value, Matrix) else [[value.v]]
-                           for value in data.values()]
+        roles = [len(pk.shapes[name]) for name in d]
+        blocks = [axes] + [v if role == 2 else [v] if role else [[v]]
+                           for v, role in zip(d.values(), roles)]
         rows, scale = lift([r for block in blocks for r in block])
         rows = map(tuple, rows)
-        walk_axes, *lifted = [tuple(next(rows) for _ in block) for block in blocks]
-        walk_data = {k: Matrix._raw(sf, m) if isinstance(v, Matrix) else sf.wrap(m[0][0])
-                     for (k, v), m in zip(data.items(), lifted)}
+        axes, *lifted = [tuple(next(rows) for _ in block) for block in blocks]
+        d = {name: m if role == 2 else m[0] if role else m[0][0]
+             for name, m, role in zip(d, lifted, roles)}
 
+    value, admits, le, eq = pk.value, pk.admits, sf.le_payload, sf.eq_payload
     minimizing = pk.sense == "min"
-    feasible = pk.feasible
-    objective = pk.objective
-    best: Scalar | None = None
-    best_point = None
+    best = best_point = None
     n_feasible = 0
-    for point in itertools.product(*map(zip, walk_axes, axes)):
-        x = Matrix._raw(sf, tuple((s,) for s, _ in point))
-        if not feasible(walk_data, x):
+    for x in itertools.product(*axes):
+        if not admits(sf, d, x):
             continue
         n_feasible += 1
-        val = objective(walk_data, x)
-        if best is None or (val < best if minimizing else best < val):
-            best, best_point = val, point
-    if best is None:
+        val = value(sf, d, x)
+        if best_point is None or (
+                (le(val, best) if minimizing else le(best, val))
+                and not eq(val, best)):
+            best, best_point = val, x
+    if best_point is None:
         return GridResult(False, None, None, total, n_feasible)
-    if not best.is_zero:
-        best = sf.wrap(unlift(best.v, scale))
-    argbest = Matrix._raw(sf, tuple((u,) for _, u in best_point))
-    return GridResult(True, best, argbest, total, n_feasible)
+    argbest = Matrix._raw(sf, tuple((unlift(u, scale),) for u in best_point))
+    return GridResult(True, sf.wrap(None if best is None else unlift(best, scale)),
+                      argbest, total, n_feasible)
 
 
 def cycle_mean_radius(a: Matrix) -> Scalar:

@@ -1,27 +1,28 @@
 """Problem-kind registry: the one table of per-kind facts.
 
 Each :class:`ProblemKind` names its inputs with their declared shapes, its
-closed-form solver, and the objective and feasibility semantics of the
-problem, stated independently of the closed forms.  :func:`solvers.solve`
-checks shapes and dispatches through this table, the document reader and
-writer walk its shapes, and the oracle evaluates the semantics pointwise
-during grid search and when re-checking sampled solution-set members, so a
-bug in a solver formula cannot hide behind itself.
-
-The seven spectral kinds are rows of one general problem: a row lists the
-inputs it has, and :func:`_bordered` builds its solver and semantics.
+closed-form solver, and the problem's semantics, stated once over payloads
+and independently of the closed forms: ``value(sf, d, x)`` is the objective
+and ``admits(sf, d, x)`` the feasibility at a payload tuple ``x``.  They
+reduce as the :class:`Matrix` operations do, so they agree with the same
+formulas on matrices bit for bit.  The solvers, the document reader and
+writer and the oracle all go through this table; the oracle evaluates the
+semantics on the grid and on sampled solution-set members, so a bug in a
+solver formula cannot hide behind itself.  The seven spectral kinds are
+rows of one general problem, built by :func:`_bordered`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partial, reduce
 from typing import Callable
 
 from . import solvers
-from .errors import ShapeError
+from .errors import DegenerateInputError, ShapeError, TagMismatchError
 from .linalg import Matrix
-from .semifield import Scalar
+from .semifield import Scalar, Semifield
 
 
 @dataclass(frozen=True)
@@ -32,25 +33,44 @@ class ProblemKind:
     for a matrix (rows, columns), one for a column vector, none for a
     scalar.  Equal letters must bind to equal sizes, and ``n`` is the
     dimension of the unknown x.  The solver takes each input as the keyword
-    argument of the same name in lower case.
+    argument of the same name in lower case.  ``objective(data, x)`` and
+    ``feasible(data, x)`` take Matrix and Scalar data, possibly only the
+    inputs the semantics reads, unwrap it once and call ``value`` /
+    ``admits``; they are fields so that a ``dataclasses.replace`` copy can
+    wrap them.
     """
 
     kind: str
     sense: str  # "min" | "max"
     shapes: dict[str, str]
     solver: Callable[..., solvers.OptimumReport]
-    objective: Callable[[dict, Matrix], Scalar]
-    feasible: Callable[[dict, Matrix], bool]
+    value: Callable[[Semifield, dict, tuple], object]
+    admits: Callable[[Semifield, dict, tuple], bool]
+    objective: Callable[[dict, Matrix], Scalar] = field(
+        default=None, repr=False, compare=False)
+    feasible: Callable[[dict, Matrix], bool] = field(
+        default=None, repr=False, compare=False)
 
-    def dim(self, data: dict) -> int:
+    def __post_init__(self):
+        if self.objective is None:
+            object.__setattr__(self, "objective", self._objective)
+        if self.feasible is None:
+            object.__setattr__(self, "feasible", self._feasible)
+
+    def dim(self, data: dict, x: Matrix | None = None) -> int:
         """Check every input against its declared shape and return ``n``.
 
         Each letter takes its size from the first input that has it; a
         :class:`ShapeError` names the first input that disagrees, and the
-        input that set the size.
+        input that set the size.  Given the unknown ``x``, it checks ``x``
+        as the column vector ``n`` too, and only the inputs ``data`` has.
         """
+        shapes = self.shapes
+        if x is not None:
+            shapes = {**{k: v for k, v in shapes.items() if k in data}, "x": "n"}
+            data = {**data, "x": x}
         sizes: dict[str, tuple[int, str]] = {}  # letter -> (size, set by)
-        for name, letters in self.shapes.items():
+        for name, letters in shapes.items():
             if not letters:
                 continue
             shape = data[name].shape
@@ -63,120 +83,182 @@ class ProblemKind:
                                      f"fit {letter} = {bound} (set by {source})")
         return sizes["n"][0]
 
+    def payloads(self, data: dict, sf: Semifield) -> dict:
+        """The inputs in ``data`` as ``value`` and ``admits`` take them: a
+        matrix as its payload rows, a vector as a payload tuple, a scalar
+        as its payload; data of another semifield raises
+        :class:`TagMismatchError`."""
+        if any(value.sf is not sf for value in data.values()):
+            raise TagMismatchError(f"{self.kind} data of another semifield than {sf.tag}")
+        unwrap = (lambda s: s.v, _column, lambda m: m.p)  # by the number of letters
+        return {name: unwrap[len(self.shapes[name])](value)
+                for name, value in data.items()}
 
-def _unconstrained(data: dict, x: Matrix) -> bool:
-    return True
+    def _arguments(self, data: dict, x: Matrix) -> tuple:
+        """``(sf, d, x)`` for ``value`` and ``admits``, the shapes checked
+        first, since the payload forms would zip a mismatch away."""
+        self.dim(data, x)
+        return x.sf, self.payloads(data, x.sf), _column(x)
 
+    def _objective(self, data: dict, x: Matrix) -> Scalar:
+        sf, d, column = self._arguments(data, x)
+        return sf.wrap(self.value(sf, d, column))
 
-def _cheb_objective(data, x):
-    return (data["q"].conj() @ x).item() + (x.conj() @ data["p"]).item()
-
-
-def _cheb_image_objective(data, x):
-    ax = data["A"] @ x
-    return (data["q"].conj() @ ax).item() + (ax.conj() @ data["p"]).item()
-
-
-def _span_objective(data, x):
-    return ((data["q"].conj() @ (data["B"] @ x)).item()
-            * ((data["A"] @ x).conj() @ data["p"]).item())
-
-
-def _span_of(y: Matrix) -> Scalar:
-    return y.norm() * y.conj().norm()
-
-
-def _box_feasible(data, x):
-    return data["g"] <= x and x <= data["h"]
+    def _feasible(self, data: dict, x: Matrix) -> bool:
+        return self.admits(*self._arguments(data, x))
 
 
-def _recursion_cap_feasible(key_matrix: str):
-    def check(data, x):
-        return (data[key_matrix] @ x) <= x
-    return check
+def _column(v: Matrix) -> tuple:
+    return tuple(r[0] for r in v.p)
+
+
+# ----------------------------------------------------------------------
+# payload forms of the Matrix operations the semantics use
+
+def _dot(sf: Semifield, u, v):
+    """A row times a column, reduced as ``Matrix @`` reduces it: the first
+    strictly best present product, an int when integral; the zero when no
+    product is present."""
+    additive, maximizing = sf.additive, sf.maximizing
+    best = None
+    for a, b in zip(u, v):
+        if a is None or b is None:
+            continue
+        t = a + b if additive else a * b
+        if best is None or (t > best if maximizing else t < best):
+            best = t
+    if best.__class__ is Fraction and best.denominator == 1:
+        return best.numerator
+    return best
+
+
+def _apply(sf: Semifield, a, x) -> tuple:
+    """``A x`` for payload rows ``a``."""
+    return tuple([_dot(sf, row, x) for row in a])
+
+
+def _conj(sf: Semifield, y) -> tuple:
+    """``y-``: every present entry inverted; undefined on an all-zero y, as
+    in :meth:`Matrix.conj`."""
+    if y.count(None) == len(y):
+        raise DegenerateInputError("conjugate transposition of an all-zero matrix")
+    inv = sf.inv_payload
+    return tuple([None if v is None else inv(v) for v in y])
+
+
+def _below(sf: Semifield, u, v) -> bool:
+    """``u <= v`` entrywise."""
+    return all(map(sf.le_payload, u, v))
+
+
+def _spread(sf: Semifield, upper, lower=None):
+    """``norm(upper) norm(lower-)``, a norm the sum of the entries; without
+    ``lower``, the span seminorm of ``upper``."""
+    lower = upper if lower is None else lower
+    return sf.mul_payload(reduce(sf.add_payload, upper, None),
+                          reduce(sf.add_payload, _conj(sf, lower), None))
+
+
+# ----------------------------------------------------------------------
+# the semantics
+
+def _distance(sf: Semifield, d: dict, y):
+    """``q- y + y- p``."""
+    return sf.add_payload(_dot(sf, _conj(sf, d["q"]), y),
+                          _dot(sf, _conj(sf, y), d["p"]))
+
+
+def _span_ratio(sf: Semifield, d: dict, x):
+    """``(q- B x) ((A x)- p)``."""
+    return sf.mul_payload(_dot(sf, _conj(sf, d["q"]), _apply(sf, d["B"], x)),
+                          _dot(sf, _conj(sf, _apply(sf, d["A"], x)), d["p"]))
+
+
+def _recursion_cap(key: str):
+    """Feasibility of ``M x <= x`` for the matrix input ``key``."""
+    def admits(sf: Semifield, d: dict, x) -> bool:
+        return _below(sf, _apply(sf, d[key], x), x)
+    return admits
+
+
+def _bounds(inputs):
+    """Feasibility of ``B x + g <= x`` (``g <= x`` without B) and ``C x <=
+    h`` (``x <= h`` without C), each bound checked only when ``inputs``
+    names it: ``_bounds(())`` admits every x."""
+    def admits(sf: Semifield, d: dict, x) -> bool:
+        if "g" in inputs:
+            lower = d["g"]
+            if "B" in inputs:
+                lower = map(sf.add_payload, _apply(sf, d["B"], x), lower)
+            if not _below(sf, lower, x):
+                return False
+        if "h" not in inputs:
+            return True
+        return _below(sf, _apply(sf, d["C"], x) if "C" in inputs else x, d["h"])
+    return admits
 
 
 def _bordered(kind: str, shapes: dict[str, str],
               flag: str | None = None) -> ProblemKind:
     """The row with the inputs in ``shapes`` of ``min x- A x + x- p + q- x +
-    r`` subject to ``B x + g <= x`` (``g <= x`` without B) and ``C x <= h``
-    (``x <= h`` without C).  The objective adds the present terms in that
-    order, which matters on the multiplicative carriers, whose ``+`` picks
-    an operand within ``REL_TOL``."""
-    def objective(d: dict, x: Matrix) -> Scalar:
-        xc = x.conj()
-        val = (xc @ (d["A"] @ x)).item()
+    r`` subject to ``B x + g <= x`` and ``C x <= h``.  The objective adds
+    the present terms in that order, which matters on the multiplicative
+    carriers, whose ``+`` picks an operand within ``REL_TOL``."""
+    def value(sf: Semifield, d: dict, x):
+        xc = _conj(sf, x)
+        val = _dot(sf, xc, _apply(sf, d["A"], x))
         if "p" in shapes:
-            val = val + (xc @ d["p"]).item()
+            val = sf.add_payload(val, _dot(sf, xc, d["p"]))
         if "q" in shapes:
-            val = val + (d["q"].conj() @ x).item()
+            val = sf.add_payload(val, _dot(sf, _conj(sf, d["q"]), x))
         if "r" in shapes:
-            val = val + d["r"]
+            val = sf.add_payload(val, d["r"])
         return val
-
-    def feasible(d: dict, x: Matrix) -> bool:
-        if "g" in shapes:
-            lower = (d["B"] @ x) + d["g"] if "B" in shapes else d["g"]
-            if not lower <= x:
-                return False
-        return "h" not in shapes or (d["C"] @ x if "C" in shapes else x) <= d["h"]
 
     return ProblemKind(kind, "min", shapes,
                        partial(solvers.bordered_optimum, kind, flag=flag),
-                       objective, feasible)
+                       value, _bounds(shapes))
 
 
 PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
     ProblemKind(
         "cheb_box", "min", {"p": "n", "q": "n", "g": "n", "h": "n"},
-        solvers.solve_cheb_box,
-        objective=_cheb_objective,
-        feasible=_box_feasible),
+        solvers.solve_cheb_box, _distance, _bounds(("g", "h"))),
     ProblemKind(
         "cheb_image_lower", "min", {"A": "mn", "p": "m", "q": "m", "g": "n"},
         solvers.solve_cheb_image_lower,
-        objective=_cheb_image_objective,
-        feasible=lambda d, x: d["g"] <= x),
+        lambda sf, d, x: _distance(sf, d, _apply(sf, d["A"], x)),
+        _bounds(("g",))),
     ProblemKind(
         "cheb_kleene_box", "min", {"B": "nn", "p": "n", "q": "n", "g": "n", "h": "n"},
-        solvers.solve_cheb_kleene_box,
-        objective=_cheb_objective,
-        feasible=lambda d, x: (d["B"] @ x) + d["g"] <= x and x <= d["h"]),
+        solvers.solve_cheb_kleene_box, _distance, _bounds(("B", "g", "h"))),
     ProblemKind(
         "cheb_kleene", "min", {"B": "nn", "p": "n", "q": "n"},
-        solvers.solve_cheb_kleene,
-        objective=_cheb_objective,
-        feasible=_recursion_cap_feasible("B")),
+        solvers.solve_cheb_kleene, _distance, _recursion_cap("B")),
     ProblemKind(
         "span_min", "min", {"A": "mn", "B": "mn", "p": "m", "q": "m"},
-        solvers.solve_span_min,
-        objective=_span_objective,
-        feasible=_unconstrained),
+        solvers.solve_span_min, _span_ratio, _bounds(())),
     ProblemKind(
         "span_min_special", "min", {"A": "mn"}, solvers.solve_span_min_special,
-        objective=lambda d, x: _span_of(d["A"] @ x),
-        feasible=_unconstrained),
+        lambda sf, d, x: _spread(sf, _apply(sf, d["A"], x)),
+        _bounds(())),
     ProblemKind(
         "span_min_constrained", "min", {"C": "nn", "D": "nn"},
         solvers.solve_span_min_constrained,
-        objective=lambda d, x: _span_of(d["C"] @ x),
-        feasible=_recursion_cap_feasible("D")),
+        lambda sf, d, x: _spread(sf, _apply(sf, d["C"], x)),
+        _recursion_cap("D")),
     ProblemKind(
         "span_max", "max", {"A": "mn", "B": "kn", "p": "m", "q": "k"},
-        solvers.solve_span_max,
-        objective=_span_objective,
-        feasible=_unconstrained),
+        solvers.solve_span_max, _span_ratio, _bounds(())),
     ProblemKind(
         "span_max_norm", "max", {"A": "mn", "B": "kn"},
         solvers.solve_span_max_norm,
-        objective=lambda d, x: (d["B"] @ x).norm() * (d["A"] @ x).conj().norm(),
-        feasible=_unconstrained),
+        lambda sf, d, x: _spread(sf, _apply(sf, d["B"], x), _apply(sf, d["A"], x)),
+        _bounds(())),
     ProblemKind(
         "span_max_constrained", "max",
         {"A": "mn", "B": "kn", "C": "nn", "p": "m", "q": "k"},
-        solvers.solve_span_max_constrained,
-        objective=_span_objective,
-        feasible=_recursion_cap_feasible("C")),
+        solvers.solve_span_max_constrained, _span_ratio, _recursion_cap("C")),
     _bordered("rayleigh", {"A": "nn"}),
     _bordered("rayleigh_affine", {"A": "nn", "p": "n", "q": "n", "r": ""}),
     _bordered("rayleigh_two_constraints",

@@ -146,16 +146,20 @@ class Semifield:
         """The Scalar of a payload computed by the rules below: unchecked."""
         return self._zero if u is None else Scalar(self, u, _token=_TOKEN)
 
-    def from_literal(self, text: str) -> Scalar:
-        """Parse a scalar literal: decimal or rational text, or the zero
-        token ``null`` or ``.``."""
+    def literal_payload(self, text: str):
+        """The payload of a scalar literal: decimal or rational text, or the
+        zero token ``null`` or ``.``."""
         stripped = text.strip()
         if stripped in ("null", "."):
-            return self._zero
+            return None
         try:
-            return self.scalar(stripped)
+            return self.payload(stripped)
         except (ValueError, ArithmeticError, CarrierDomainError) as exc:
             raise CarrierDomainError(f"{stripped[:40]!r}: {exc}") from exc
+
+    def from_literal(self, text: str) -> Scalar:
+        """The Scalar of a literal, as :meth:`literal_payload` reads it."""
+        return self.wrap(self.literal_payload(text))
 
     def sum(self, scalars) -> Scalar:
         """Idempotent sum of an iterable (zero if empty)."""

@@ -231,6 +231,15 @@ _BAD_INPUTS = {
     "semifield that is an object": (
         {"semifield": {"max-plus": 1}, "kind": "rayleigh", "A": [[1]]},
         ("solve", "{doc}"), "semifield"),
+    "misspelt verify setting": (
+        {"kind": "rayleigh", "A": [[1]], "verify": {"sampels": 1}},
+        ("verify", "{doc}"), "verify.sampels"),
+    "misspelt grid setting": (
+        {"kind": "rayleigh", "A": [[1]], "grid": {"stpe": "1/1000"}},
+        ("verify", "{doc}"), "grid.stpe"),
+    "input the kind does not have": (
+        {"kind": "rayleigh", "A": [[1]], "Z": [[1]]},
+        ("verify", "{doc}"), "Z"),
 }
 
 

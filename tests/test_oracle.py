@@ -33,6 +33,8 @@ from tropsolve.oracle import _axis, data_span_grid
 from tropsolve.problems import PROBLEM_KINDS
 from tropsolve.systems import BoxSolutionSet, EmptySolutionSet
 
+from test_problems import REFERENCE_FEASIBLE, REFERENCE_OBJECTIVE
+
 
 def vec(*entries):
     return vector(MAX_PLUS, entries)
@@ -194,19 +196,21 @@ def test_default_grid_margin():
 # the denominators; the walk on the payloads as given is its reference
 
 def _reference_grid_search(kind, data, grid):
-    """Exhaustive walk on the data and grid payloads as given."""
-    pk = PROBLEM_KINDS[kind]
+    """Exhaustive walk on the data and grid payloads as given, through the
+    Matrix-level reference semantics."""
+    objective, feasible = REFERENCE_OBJECTIVE[kind], REFERENCE_FEASIBLE[kind]
+    minimizing = PROBLEM_KINDS[kind].sense == "min"
     sf = grid.step.sf
     axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
     best = argbest = None
     n_feasible = 0
     for combo in itertools.product(*axes):
         x = Matrix(sf, tuple((s,) for s in combo))
-        if not pk.feasible(data, x):
+        if not feasible(data, x):
             continue
         n_feasible += 1
-        val = pk.objective(data, x)
-        if best is None or (val < best if pk.sense == "min" else best < val):
+        val = objective(data, x)
+        if best is None or (val < best if minimizing else best < val):
             best, argbest = val, x
     return GridResult(best is not None, best, argbest,
                       math.prod(map(len, axes)), n_feasible)
