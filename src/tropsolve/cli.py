@@ -87,10 +87,12 @@ def _verification_text(vr) -> str:
 
 def _setting(settings: dict, key: str, parse, default=None):
     """``parse(settings[key])``, or ``default`` when the key is absent or
-    null; a value that does not parse is a document error naming the key."""
+    null; a bool or a value that does not parse is an error naming the key."""
     raw = settings.get(key)
     if raw is None:
         return default
+    if isinstance(raw, bool):  # JSON true would parse as the number 1
+        raise DocumentError(f"invalid value {raw!r}", key)
     try:
         return parse(raw)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -99,8 +101,15 @@ def _setting(settings: dict, key: str, parse, default=None):
         raise DocumentError(str(exc), key) from exc
 
 
+def _integer(raw) -> int:
+    """``int(raw)``, refusing a fractional part instead of truncating it."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError("not an integer")
+    return int(raw)
+
+
 def _count(raw) -> int:
-    value = int(raw)
+    value = _integer(raw)
     if value < 0:
         raise ValueError("negative count")
     return value
@@ -133,7 +142,7 @@ def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec:
     settings = _merged(doc.grid, args, ("step",))
     step = _setting(settings, "step", _positive(rational))
     margin = _setting(settings, "margin", _positive(rational))
-    cap = _setting(settings, "cap", _positive(int), DEFAULT_GRID_CAP)
+    cap = _setting(settings, "cap", _positive(_integer), DEFAULT_GRID_CAP)
     if report.status == INFEASIBLE:
         return data_span_grid(doc.kind, doc.data, step=step, cap=cap)
     return default_grid(doc.kind, doc.data, report, step=step,
@@ -157,7 +166,7 @@ def cmd_verify(args) -> int:
     report = solve(doc.kind, **doc.data)
     settings = _merged(doc.verify, args, ("samples", "seed", "window"))
     samples = _setting(settings, "samples", _count, 20)
-    seed = _setting(settings, "seed", int, 0)
+    seed = _setting(settings, "seed", _integer, 0)
     window = _setting(settings, "window", doc.semifield.scalar, DEFAULT_WINDOW)
     vr = verify_report(doc.kind, doc.data, report,
                        grid=_grid_from_settings(doc, report, args),

@@ -36,9 +36,6 @@ class ProblemDocument:
 # scalar/matrix decoding (the encoders live in ``linalg``)
 
 def _decode_payload(sf: Semifield, raw, field: str):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str, type(None))):
-        raise DocumentError(f"expected a number, rational string or null, "
-                            f"got {raw!r}", field)
     try:
         return sf.payload(raw)
     except (ValueError, ArithmeticError, CarrierDomainError) as exc:

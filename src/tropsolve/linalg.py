@@ -8,7 +8,8 @@ values through :meth:`Semifield.payload` and stores rows of payloads,
 ``None`` for the zero; a matrix computes on them by its semifield's rules
 and wraps entries to :class:`Scalar` on the way out.  Additive payloads
 are exact rationals in canonical form: an ``int`` when integral, else a
-``Fraction``.
+``Fraction``.  ``A @ B`` and ``A <= B`` reduce payload rows through
+:func:`dot` and :func:`below`, as the semantics of :mod:`tropsolve.problems` do.
 The star and the spectral radius cost O(n^3) carrier operations each (a
 Floyd-Warshall closure and Karp's cycle-mean recurrence); on max-plus and
 min-plus both run on Python ints, the matrix lifted once by :func:`lift`
@@ -25,7 +26,7 @@ from functools import reduce
 from math import lcm
 
 from .errors import DegenerateInputError, ShapeError, TagMismatchError
-from .semifield import Scalar, Semifield, canonical, payload_text
+from .semifield import Scalar, Semifield, canonical, checked_float, payload_text
 
 
 class Matrix:
@@ -126,29 +127,9 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply shapes {self.shape} and {other.shape}")
         sf = self.sf
-        additive, maximizing = sf.additive, sf.maximizing
-        ocols = tuple(zip(*other.p))  # the inner loop walks one column
-        out = []
-        for arow in self.p:
-            row_out = []
-            for col in ocols:
-                best = None
-                for av, bv in zip(arow, col):
-                    if av is None or bv is None:
-                        continue
-                    t = av + bv if additive else av * bv
-                    if best is None:
-                        best = t
-                    elif maximizing:
-                        if t > best:
-                            best = t
-                    elif t < best:
-                        best = t
-                if best.__class__ is Fraction and best.denominator == 1:
-                    best = best.numerator
-                row_out.append(best)
-            out.append(tuple(row_out))
-        return Matrix._raw(sf, tuple(out))
+        ocols = tuple(zip(*other.p))
+        return Matrix._raw(sf, tuple(
+            tuple([dot(sf, arow, col) for col in ocols]) for arow in self.p))
 
     def __rmul__(self, x: Scalar) -> Matrix:
         if not isinstance(x, Scalar):
@@ -231,8 +212,7 @@ class Matrix:
         self._check_same(other, "<=")
         if self.shape != other.shape:
             raise ShapeError(f"cannot compare shapes {self.shape} and {other.shape}")
-        le = self.sf.le_payload
-        return all(all(map(le, ra, rb)) for ra, rb in zip(self.p, other.p))
+        return all(below(self.sf, ra, rb) for ra, rb in zip(self.p, other.p))
 
     def __ge__(self, other: Matrix) -> bool:
         return other <= self
@@ -313,6 +293,28 @@ def unlift(v, scale: int):
     """The canonical payload ``v / scale`` of a lifted payload ``v`` (a
     multiplicative payload, which comes with ``scale`` 1, as it is)."""
     return v if scale == 1 else canonical(Fraction(v, scale))
+
+
+def dot(sf: Semifield, u, v):
+    """A row ``u`` times a column ``v`` of payloads, the sum of the
+    products of the present pairs: the first strictly best product, an int
+    when integral; ``None`` (the zero) when no product is present."""
+    additive, maximizing = sf.additive, sf.maximizing
+    best = None
+    for a, b in zip(u, v):
+        if a is None or b is None:
+            continue
+        t = a + b if additive else a * b
+        if best is None or (t > best if maximizing else t < best):
+            best = t
+    if best.__class__ is Fraction and best.denominator == 1:
+        return best.numerator
+    return best
+
+
+def below(sf: Semifield, u, v) -> bool:
+    """``u <= v`` entrywise, for payload rows or columns of one length."""
+    return all(map(sf.le_payload, u, v))
 
 
 def _raw_rows(a: Matrix):
@@ -470,8 +472,10 @@ def kleene_star(a: Matrix) -> StarClosure:
 
 def encode_payload(v):
     """A payload as JSON: null, an int, a rational string or a float."""
-    if v is None or isinstance(v, float):
+    if v is None:
         return v
+    if v.__class__ is float:
+        return checked_float(v)
     text = payload_text(v)  # refuses a rational too long to print
     return v.numerator if v.denominator == 1 else text
 

@@ -4,24 +4,23 @@ Each :class:`ProblemKind` names its inputs with their declared shapes, its
 closed-form solver, and the problem's semantics, stated once over payloads
 and independently of the closed forms: ``value(sf, d, x)`` is the objective
 and ``admits(sf, d, x)`` the feasibility at a payload tuple ``x``.  They
-reduce as the :class:`Matrix` operations do, so they agree with the same
-formulas on matrices bit for bit.  The solvers, the document reader and
-writer and the oracle all go through this table; the oracle evaluates the
-semantics on the grid and on sampled solution-set members, so a bug in a
-solver formula cannot hide behind itself.  The seven spectral kinds are
-rows of one general problem, built by :func:`_bordered`.
+reduce through :func:`linalg.dot` and :func:`linalg.below`, as ``Matrix @``
+and ``<=`` do.  The solvers, the document reader and writer and the oracle
+all go through this table; the oracle evaluates the semantics on the grid
+and on sampled solution-set members, so a bug in a solver formula cannot
+hide behind itself.  The seven spectral kinds are rows of one general
+problem, built by :func:`_bordered`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable
 
 from . import solvers
 from .errors import DegenerateInputError, ShapeError, TagMismatchError
-from .linalg import Matrix
+from .linalg import Matrix, below, dot
 from .semifield import Scalar, Semifield
 
 
@@ -113,28 +112,11 @@ def _column(v: Matrix) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# payload forms of the Matrix operations the semantics use
-
-def _dot(sf: Semifield, u, v):
-    """A row times a column, reduced as ``Matrix @`` reduces it: the first
-    strictly best present product, an int when integral; the zero when no
-    product is present."""
-    additive, maximizing = sf.additive, sf.maximizing
-    best = None
-    for a, b in zip(u, v):
-        if a is None or b is None:
-            continue
-        t = a + b if additive else a * b
-        if best is None or (t > best if maximizing else t < best):
-            best = t
-    if best.__class__ is Fraction and best.denominator == 1:
-        return best.numerator
-    return best
-
+# payload forms of the other Matrix operations the semantics use
 
 def _apply(sf: Semifield, a, x) -> tuple:
     """``A x`` for payload rows ``a``."""
-    return tuple([_dot(sf, row, x) for row in a])
+    return tuple([dot(sf, row, x) for row in a])
 
 
 def _conj(sf: Semifield, y) -> tuple:
@@ -144,11 +126,6 @@ def _conj(sf: Semifield, y) -> tuple:
         raise DegenerateInputError("conjugate transposition of an all-zero matrix")
     inv = sf.inv_payload
     return tuple([None if v is None else inv(v) for v in y])
-
-
-def _below(sf: Semifield, u, v) -> bool:
-    """``u <= v`` entrywise."""
-    return all(map(sf.le_payload, u, v))
 
 
 def _spread(sf: Semifield, upper, lower=None):
@@ -164,20 +141,20 @@ def _spread(sf: Semifield, upper, lower=None):
 
 def _distance(sf: Semifield, d: dict, y):
     """``q- y + y- p``."""
-    return sf.add_payload(_dot(sf, _conj(sf, d["q"]), y),
-                          _dot(sf, _conj(sf, y), d["p"]))
+    return sf.add_payload(dot(sf, _conj(sf, d["q"]), y),
+                          dot(sf, _conj(sf, y), d["p"]))
 
 
 def _span_ratio(sf: Semifield, d: dict, x):
     """``(q- B x) ((A x)- p)``."""
-    return sf.mul_payload(_dot(sf, _conj(sf, d["q"]), _apply(sf, d["B"], x)),
-                          _dot(sf, _conj(sf, _apply(sf, d["A"], x)), d["p"]))
+    return sf.mul_payload(dot(sf, _conj(sf, d["q"]), _apply(sf, d["B"], x)),
+                          dot(sf, _conj(sf, _apply(sf, d["A"], x)), d["p"]))
 
 
 def _recursion_cap(key: str):
     """Feasibility of ``M x <= x`` for the matrix input ``key``."""
     def admits(sf: Semifield, d: dict, x) -> bool:
-        return _below(sf, _apply(sf, d[key], x), x)
+        return below(sf, _apply(sf, d[key], x), x)
     return admits
 
 
@@ -190,11 +167,11 @@ def _bounds(inputs):
             lower = d["g"]
             if "B" in inputs:
                 lower = map(sf.add_payload, _apply(sf, d["B"], x), lower)
-            if not _below(sf, lower, x):
+            if not below(sf, lower, x):
                 return False
         if "h" not in inputs:
             return True
-        return _below(sf, _apply(sf, d["C"], x) if "C" in inputs else x, d["h"])
+        return below(sf, _apply(sf, d["C"], x) if "C" in inputs else x, d["h"])
     return admits
 
 
@@ -206,11 +183,11 @@ def _bordered(kind: str, shapes: dict[str, str],
     carriers, whose ``+`` picks an operand within ``REL_TOL``."""
     def value(sf: Semifield, d: dict, x):
         xc = _conj(sf, x)
-        val = _dot(sf, xc, _apply(sf, d["A"], x))
+        val = dot(sf, xc, _apply(sf, d["A"], x))
         if "p" in shapes:
-            val = sf.add_payload(val, _dot(sf, xc, d["p"]))
+            val = sf.add_payload(val, dot(sf, xc, d["p"]))
         if "q" in shapes:
-            val = sf.add_payload(val, _dot(sf, _conj(sf, d["q"]), x))
+            val = sf.add_payload(val, dot(sf, _conj(sf, d["q"]), x))
         if "r" in shapes:
             val = sf.add_payload(val, d["r"])
         return val

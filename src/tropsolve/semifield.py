@@ -62,9 +62,20 @@ def canonical(q):
     return q.numerator if q.denominator == 1 else q
 
 
+def checked_float(value: float) -> float:
+    """``value`` when it lies in (0, inf); a multiplicative result that
+    overflowed or underflowed raises :class:`CarrierDomainError`."""
+    if 0.0 < value < math.inf:
+        return value
+    raise CarrierDomainError(f"a result left the range of positive floats: {value!r}")
+
+
 def payload_text(value) -> str:
     """Text of a carrier value (``7/2``, ``-3``, ``2.5``); a rational grown
-    past Python's int/str limit raises :class:`CarrierDomainError`."""
+    past Python's int/str limit, or a float outside (0, inf), raises
+    :class:`CarrierDomainError`."""
+    if value.__class__ is float:
+        checked_float(value)
     try:
         return str(value)
     except ValueError as exc:
@@ -117,26 +128,29 @@ class Semifield:
     def payload(self, value):
         """The checked payload of a value: ``None`` (the zero) as it is, a
         Scalar of this semifield unwrapped (one of another raises
-        :class:`TagMismatchError`), a number or literal in canonical form."""
+        :class:`TagMismatchError`), an ``int``, ``Fraction``, ``float`` or
+        literal ``str`` in canonical form; a value of any other type, a bool
+        among them, raises :class:`CarrierDomainError`."""
         if value is None:
             return None
         if isinstance(value, Scalar):
             if value.sf is not self:
                 raise TagMismatchError(f"{value!r} is not a {self.tag} scalar")
             return value.v
-        if self.additive:
-            if isinstance(value, int):
-                return int(value)  # a bool payload would print as True
-            if isinstance(value, Fraction):
-                return canonical(value)
-            if isinstance(value, str):
-                return canonical(rational(value))
-            if isinstance(value, float):
-                # decimal-faithful: 0.25 -> 1/4, not the binary expansion
-                return canonical(Fraction(str(value)))
+        cls = value.__class__
+        if cls not in (int, Fraction, float, str):  # exact types: no bool
             raise CarrierDomainError(
                 f"cannot use {value!r} as a {self.tag} carrier value")
-        out = float(rational(value) if isinstance(value, str) else value)
+        if self.additive:
+            if cls is int:
+                return value
+            if cls is str:
+                return canonical(rational(value))
+            if cls is float:
+                # decimal-faithful: 0.25 -> 1/4, not the binary expansion
+                return canonical(Fraction(str(value)))
+            return canonical(value)
+        out = float(rational(value) if cls is str else value)
         if not math.isfinite(out) or out <= 0.0:
             raise CarrierDomainError(
                 f"{self.tag} carrier values must be finite and positive, got {value!r}")
@@ -161,13 +175,6 @@ class Semifield:
         """The Scalar of a literal, as :meth:`literal_payload` reads it."""
         return self.wrap(self.literal_payload(text))
 
-    def sum(self, scalars) -> Scalar:
-        """Idempotent sum of an iterable (zero if empty)."""
-        acc = self._zero
-        for s in scalars:
-            acc = acc + s
-        return acc
-
     # the carrier rules on payloads, None being the zero; the addition picks by
     # the order, as Scalar + does, so a tie (within REL_TOL on floats) keeps v
     def add_payload(self, u, v):
@@ -181,7 +188,10 @@ class Semifield:
     def inv_payload(self, u):
         if u is None:
             raise ZeroInversionError("the semifield zero has no inverse")
-        return -u if self.additive else 1.0 / u
+        try:
+            return -u if self.additive else 1.0 / u
+        except ZeroDivisionError:
+            raise CarrierDomainError("cannot invert 0.0 (an underflow)") from None
 
     def le_payload(self, u, v) -> bool:  # the zero is the least element
         if u is None:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .errors import InvariantError, PreconditionError
 from .linalg import (
@@ -93,7 +95,7 @@ def _infeasible(kind: str, reason: str, diags: list) -> OptimumReport:
 
 def _argbest(values: list[Scalar]) -> tuple[int, tuple[int, ...]]:
     """First index attaining the idempotent sum of `values`, plus all ties."""
-    best = values[0].sf.sum(values)
+    best = reduce(add, values)
     ties = tuple(i for i, v in enumerate(values) if v == best)
     return ties[0], ties
 

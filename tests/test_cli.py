@@ -240,6 +240,32 @@ _BAD_INPUTS = {
     "input the kind does not have": (
         {"kind": "rayleigh", "A": [[1]], "Z": [[1]]},
         ("verify", "{doc}"), "Z"),
+    "fractional sample count": (
+        {"kind": "rayleigh", "A": [[1]], "verify": {"samples": 2.7}},
+        ("verify", "{doc}"), "samples"),
+    "sample count that is a bool": (
+        {"kind": "rayleigh", "A": [[1]], "verify": {"samples": True}},
+        ("verify", "{doc}"), "samples"),
+    "fractional grid cap": (
+        {"kind": "rayleigh", "A": [[1, 2], [3, 4]], "grid": {"cap": 1500.9}},
+        ("verify", "{doc}"), "cap"),
+    "fractional seed": (
+        {"kind": "rayleigh", "A": [[1]], "verify": {"seed": 1.5}},
+        ("verify", "{doc}"), "seed"),
+    "grid step that is a bool": (
+        {"kind": "rayleigh", "A": [[1]], "grid": {"step": True}},
+        ("verify", "{doc}"), "step"),
+    "max-times result that overflows": (
+        {"kind": "cheb_kleene", "semifield": "max-times",
+         "B": [[1e-300, 1e-300], [1e-300, 1e-300]],
+         "p": [1e300, 1e300], "q": [1e-300, 1e-300]},
+        ("solve", "--json", "{doc}"), "range of positive floats"),
+    "min-times product that underflows": (
+        {"kind": "span_min", "semifield": "min-times",
+         "A": [[1e-300, 1e300], [1e300, 1e-300]],
+         "B": [[1e300, 1e-300], [1e-300, 1e300]],
+         "p": [1e-300, 1e300], "q": [1e300, 1e-300]},
+        ("solve", "{doc}"), "underflow"),
 }
 
 

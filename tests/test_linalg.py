@@ -1,7 +1,9 @@
 """Matrix algebra: frozen examples plus the structural laws."""
 
+import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from tropsolve import (
     tr_functional,
     vector,
 )
+from tropsolve.linalg import below, dot
 
 
 def mp(rows):
@@ -74,6 +77,22 @@ def test_mat_mul():
     assert eye @ a == a
     z = Matrix.zeros(MAX_PLUS, 2, 2)
     assert (z @ a).is_zero
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.tag)
+def test_dot_and_below_are_their_scalar_definitions(sf):
+    rng = random.Random(7)
+    entries = [None, 1, 2, F(1, 2), F(3, 2), 4]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        u, v = ([sf.payload(rng.choice(entries)) for _ in range(n)] for _ in "uv")
+        su, sv = map(sf.wrap, u), map(sf.wrap, v)
+        want = reduce(operator.add, map(operator.mul, su, sv), sf.zero)
+        got = dot(sf, u, v)
+        assert sf.wrap(got) == want
+        assert type(got) is type(want.v)  # an int when integral
+        assert below(sf, u, v) == all(sf.wrap(a) <= sf.wrap(b) for a, b in zip(u, v))
 
 
 def test_scal_mul():

@@ -16,7 +16,7 @@ from tropsolve import (
     ZeroInversionError,
 )
 from tropsolve.linalg import encode_payload
-from tropsolve.semifield import MAX_LITERAL_DIGITS
+from tropsolve.semifield import MAX_LITERAL_DIGITS, payload_text
 
 ALL = (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
 
@@ -88,6 +88,23 @@ def test_multiplicative_carrier_domain():
         MIN_TIMES.scalar(0)
 
 
+@pytest.mark.parametrize("sf", ALL, ids=lambda s: s.tag)
+def test_non_numbers_are_not_carrier_values(sf):
+    for raw in (True, False, [1], {"v": 1}, b"1"):
+        with pytest.raises(CarrierDomainError, match="carrier value"):
+            sf.scalar(raw)
+
+
+@pytest.mark.parametrize("v", [0.0, float("inf"), float("nan")], ids=repr)
+def test_floats_out_of_range_are_refused(v):
+    for out in (encode_payload, payload_text):
+        with pytest.raises(CarrierDomainError, match="range of positive floats"):
+            out(v)
+    if v == 0.0:
+        with pytest.raises(CarrierDomainError, match="underflow"):
+            MIN_TIMES.inv_payload(v)
+
+
 def test_literals_round_trip():
     s = MAX_PLUS.scalar("7/2")
     assert s.v == F(7, 2) and s.literal() == "7/2"
@@ -129,7 +146,7 @@ def _canonical(v) -> bool:
 
 @pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS), ids=lambda s: s.tag)
 def test_integral_input_parses_to_int(sf):
-    for raw, value in (("4/2", 2), (2.0, 2), (True, 1), (F(-6, 3), -2),
+    for raw, value in (("4/2", 2), (2.0, 2), (F(-6, 3), -2),
                        (" -0.0 ", 0), ("1e2", 100), (7, 7)):
         s = sf.scalar(raw)
         assert type(s.v) is int and s.v == value, raw
