@@ -26,14 +26,7 @@ from .fileio import (
 )
 from .gen import generate
 from .linalg import format_matrix, kleene_star, parse_matrix, spectral_radius, tr_functional
-from .oracle import (
-    DEFAULT_GRID_CAP,
-    DEFAULT_WINDOW,
-    GridSpec,
-    data_span_grid,
-    default_grid,
-    verify_report,
-)
+from .oracle import default_grid, verify_report
 from .problems import PROBLEM_KINDS
 from .semifield import MAX_PLUS, SEMIFIELDS, payload_text, rational
 from .solvers import INFEASIBLE, solve
@@ -85,20 +78,28 @@ def _verification_text(vr) -> str:
     return "\n".join(lines)
 
 
-def _setting(settings: dict, key: str, parse, default=None):
-    """``parse(settings[key])``, or ``default`` when the key is absent or
-    null; a bool or a value that does not parse is an error naming the key."""
-    raw = settings.get(key)
-    if raw is None:
-        return default
-    if isinstance(raw, bool):  # JSON true would parse as the number 1
-        raise DocumentError(f"invalid value {raw!r}", key)
-    try:
-        return parse(raw)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise DocumentError(f"invalid value {raw!r}", key) from exc
-    except CarrierDomainError as exc:
-        raise DocumentError(str(exc), key) from exc
+def _settings(section: dict | None, args, parsers: dict) -> dict:
+    """A settings section of the document with the flags that are set
+    written over it, each key that is present (and not null) parsed by its
+    entry in ``parsers``; absent keys are left out, so that the callee's
+    defaults apply.  A bool or a value that does not parse is an error
+    naming the key."""
+    section, out = section or {}, {}
+    for key, parse in parsers.items():
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = section.get(key)
+        if raw is None:
+            continue
+        if isinstance(raw, bool):  # JSON true would parse as the number 1
+            raise DocumentError(f"invalid value {raw!r}", key)
+        try:
+            out[key] = parse(raw)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise DocumentError(f"invalid value {raw!r}", key) from exc
+        except CarrierDomainError as exc:
+            raise DocumentError(str(exc), key) from exc
+    return out
 
 
 def _integer(raw) -> int:
@@ -125,30 +126,6 @@ def _positive(parse):
     return check
 
 
-def _merged(section: dict | None, args, keys) -> dict:
-    """A settings section of the document with the flags that are set
-    written over it, so that both go through one parse."""
-    settings = dict(section or {})
-    for key in keys:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    return settings
-
-
-def _grid_from_settings(doc: ProblemDocument, report, args) -> GridSpec:
-    """The verification grid from the document's grid section and the
-    ``--step`` flag: the data span for an infeasible report, else a grid
-    centered on the reported solution."""
-    settings = _merged(doc.grid, args, ("step",))
-    step = _setting(settings, "step", _positive(rational))
-    margin = _setting(settings, "margin", _positive(rational))
-    cap = _setting(settings, "cap", _positive(_integer), DEFAULT_GRID_CAP)
-    if report.status == INFEASIBLE:
-        return data_span_grid(doc.kind, doc.data, step=step, cap=cap)
-    return default_grid(doc.kind, doc.data, report, step=step,
-                        margin=margin, cap=cap)
-
-
 # each command builds its whole output before it prints any of it; main
 # maps the errors to exit codes
 
@@ -164,13 +141,14 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     doc = load_document(args.path)
     report = solve(doc.kind, **doc.data)
-    settings = _merged(doc.verify, args, ("samples", "seed", "window"))
-    samples = _setting(settings, "samples", _count, 20)
-    seed = _setting(settings, "seed", _integer, 0)
-    window = _setting(settings, "window", doc.semifield.scalar, DEFAULT_WINDOW)
+    settings = _settings(doc.verify, args, {
+        "samples": _count, "seed": _integer, "window": doc.semifield.scalar})
+    grid = _settings(doc.grid, args, {
+        "step": _positive(rational), "margin": _positive(rational),
+        "cap": _positive(_integer)})
     vr = verify_report(doc.kind, doc.data, report,
-                       grid=_grid_from_settings(doc, report, args),
-                       samples=samples, seed=seed, window=window)
+                       grid=default_grid(doc.kind, doc.data, report, **grid),
+                       **settings)
     text = (dumps(verification_to_dict(vr, doc.semifield)) if args.json
             else _verification_text(vr))
     _echo(text)
@@ -209,8 +187,15 @@ def cmd_algebra(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropsolve",
         description="Closed-form tropical optimization with oracle verification")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,14 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="solve a problem file and cross-check it")
     p_verify.add_argument("path")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--samples", type=int, default=None,
-                          help="solution-set members to sample (default 20)")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="sampling seed (default 0)")
-    p_verify.add_argument("--step", default=None,
-                          help="grid step as a rational, e.g. 1/12")
-    p_verify.add_argument("--window", type=float, default=None,
-                          help="window for unbounded directions (carrier units)")
+    p_verify.add_argument("--samples",
+                          help="solution-set members to sample (verify.samples)")
+    p_verify.add_argument("--seed", help="sampling seed (verify.seed)")
+    p_verify.add_argument("--step",
+                          help="grid step as a rational, e.g. 1/12 (grid.step)")
+    p_verify.add_argument("--window", help="window for unbounded directions, "
+                          "in carrier units (verify.window)")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random feasible instance")

@@ -25,7 +25,12 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from .errors import DegenerateInputError, ShapeError, TagMismatchError
+from .errors import (
+    CarrierDomainError,
+    DegenerateInputError,
+    ShapeError,
+    TagMismatchError,
+)
 from .semifield import Scalar, Semifield, canonical, checked_float, payload_text
 
 
@@ -379,17 +384,21 @@ def spectral_radius(a: Matrix) -> Scalar:
             return sf.zero
         return sf.wrap(canonical(Fraction(sign * best[0], best[1] * scale)))
     lam = None
-    for v, top in enumerate(tops):
-        if top is None:
-            continue
-        worst = top ** (1 / n)  # k = 0, where D_0(v) is one
-        for k in range(1, n):
-            dk = walks[k][v]
-            if dk is not None:
-                mean = (top * (1.0 / dk)) ** (1 / (n - k))
-                if not sf.le_payload(worst, mean):
-                    worst = mean
-        lam = sf.add_payload(lam, worst)
+    try:
+        for v, top in enumerate(tops):
+            if top is None:
+                continue
+            worst = top ** (1 / n)  # k = 0, where D_0(v) is one
+            for k in range(1, n):
+                dk = walks[k][v]
+                if dk is not None:
+                    mean = (top * (1.0 / dk)) ** (1 / (n - k))
+                    if not sf.le_payload(worst, mean):
+                        worst = mean
+            lam = sf.add_payload(lam, worst)
+    except ZeroDivisionError:
+        raise CarrierDomainError(
+            "a walk weight of the spectral radius underflowed to 0.0") from None
     return sf.wrap(lam)
 
 

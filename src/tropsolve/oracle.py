@@ -260,22 +260,29 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
                  step: Fraction | None = None,
                  margin: Fraction | None = None,
                  cap: int = DEFAULT_GRID_CAP) -> GridSpec:
-    """Grid centered on an exact attaining member of the reported set.
+    """The grid :func:`verify_report` walks when it is given none.
 
-    Margins shrink with the dimension to keep the point count small; the
-    anchor lies on the grid, so the grid optimum can match the reported
-    one exactly.  A margin below one step rounds up to one step; a margin
-    that is not positive is an input error.  Additive carriers only.
+    An optimal report gets a grid centered on an exact attaining member of
+    the reported set.  Margins shrink with the dimension to keep the point
+    count small; the anchor lies on the grid, so the grid optimum can match
+    the reported one exactly.  A margin below one step rounds up to one
+    step; a margin that is not positive is an input error.  An infeasible
+    report has no anchor to center on: its grid spans the range of all
+    carrier values in the data, widened by one carrier unit on each side,
+    and ``margin`` is not used.  Additive carriers only.
     """
-    pk = PROBLEM_KINDS[kind]
-    n = pk.dim(data)
-    anchor = anchor_member(report)
-    sf = anchor.sf
+    n = PROBLEM_KINDS[kind].dim(data)
+    anchor = None if report.status == INFEASIBLE else anchor_member(report)
+    sf = next(iter(data.values())).sf if anchor is None else anchor.sf
     if not sf.additive:
         raise DegenerateInputError(
             "default grids are defined for additive carriers only")
     if step is None:
         step = default_step(n)
+    if anchor is None:
+        payloads = _payloads(data) or [Fraction(0)]
+        lo, hi = sf.scalar(min(payloads) - 1), sf.scalar(max(payloads) + 1)
+        return GridSpec(((lo, hi),) * n, sf.scalar(step), cap)
     if margin is None:
         margin = Fraction(1) if n <= 2 else Fraction(1, 3)
     if margin <= 0:
@@ -284,28 +291,6 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
     intervals = tuple(
         (sf.scalar(anchor[i].v - margin), sf.scalar(anchor[i].v + margin))
         for i in range(n))
-    return GridSpec(intervals, sf.scalar(step), cap)
-
-
-def data_span_grid(kind: str, data: dict, step: Fraction | None = None,
-                   cap: int = DEFAULT_GRID_CAP) -> GridSpec:
-    """Grid spanning the range of all carrier values in the instance data,
-    widened by one carrier unit on each side.
-
-    Used when there is no attaining anchor to center on, e.g. to confirm
-    an infeasibility verdict.  Additive carriers only.
-    """
-    pk = PROBLEM_KINDS[kind]
-    n = pk.dim(data)
-    payloads = _payloads(data) or [Fraction(0)]
-    sf = next(iter(data.values())).sf
-    if not sf.additive:
-        raise DegenerateInputError(
-            "data-span grids are defined for additive carriers only")
-    if step is None:
-        step = default_step(n)
-    lo, hi = min(payloads) - 1, max(payloads) + 1
-    intervals = tuple((sf.scalar(lo), sf.scalar(hi)) for _ in range(n))
     return GridSpec(intervals, sf.scalar(step), cap)
 
 
@@ -324,15 +309,15 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
     """Cross-check a solver report against sampling and grid search.
 
     Checks: (a) sampled members are feasible, (b) they attain the reported
-    optimum exactly, (c) the grid optimum equals the reported one.  More
-    samples than the grid's point cap raise :class:`GridOverflowError`.
+    optimum exactly, (c) the grid optimum equals the reported one; an
+    infeasible report passes when the grid holds no feasible point.  Without
+    ``grid`` the one :func:`default_grid` gives is walked.  More samples than
+    the grid's point cap raise :class:`GridOverflowError`.
     """
     pk = PROBLEM_KINDS[kind]
-
+    if grid is None:
+        grid = default_grid(kind, data, report)
     if report.status == INFEASIBLE:
-        if grid is None:
-            raise DegenerateInputError(
-                "verifying an infeasible report needs an explicit grid")
         res = grid_search(kind, data, grid)
         return VerificationReport(
             kind, report.status, None, res.value,
@@ -340,10 +325,9 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
             feasibility_failures=(), attainment_failures=(),
             grid_points=res.points_total, passed=not res.found)
 
-    cap = DEFAULT_GRID_CAP if grid is None else grid.cap
-    if samples > cap:
+    if samples > grid.cap:
         raise GridOverflowError(
-            f"{samples} samples exceed the cap {cap}; lower --samples "
+            f"{samples} samples exceed the cap {grid.cap}; lower --samples "
             f"or raise grid.cap in the document")
     members = sample_solution_set(report.solution, samples, seed, window)
     bad_feas = tuple(i for i, x in enumerate(members)
@@ -351,8 +335,6 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
     bad_att = tuple(i for i, x in enumerate(members)
                     if pk.objective(data, x) != report.optimum)
 
-    if grid is None:
-        grid = default_grid(kind, data, report)
     res = grid_search(kind, data, grid)
     minimizing = pk.sense == "min"
     beats = False

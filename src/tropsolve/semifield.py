@@ -150,7 +150,10 @@ class Semifield:
                 # decimal-faithful: 0.25 -> 1/4, not the binary expansion
                 return canonical(Fraction(str(value)))
             return canonical(value)
-        out = float(rational(value) if cls is str else value)
+        try:
+            out = float(rational(value) if cls is str else value)
+        except OverflowError:
+            out = math.inf
         if not math.isfinite(out) or out <= 0.0:
             raise CarrierDomainError(
                 f"{self.tag} carrier values must be finite and positive, got {value!r}")

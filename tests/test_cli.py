@@ -260,6 +260,19 @@ _BAD_INPUTS = {
          "B": [[1e-300, 1e-300], [1e-300, 1e-300]],
          "p": [1e300, 1e300], "q": [1e-300, 1e-300]},
         ("solve", "--json", "{doc}"), "range of positive floats"),
+    "subcommand without its path": (None, ("solve",), "path"),
+    "unknown subcommand": (None, ("frob",), "frob"),
+    "size flag that is not a number": (
+        None, ("gen", "rayleigh", "-n", "x"), "size"),
+    "fractional sample count flag": (
+        {"kind": "rayleigh", "A": [[1]]},
+        ("verify", "{doc}", "--samples", "2.5"), "samples: invalid value '2.5'"),
+    "max-times walk weight that underflows": (
+        {"kind": "rayleigh", "semifield": "max-times", "A": [[1e-200] * 3] * 3},
+        ("solve", "{doc}"), "underflow"),
+    "max-times spectral radius whose walk weight underflows": (
+        "1e-200 1e-200 1e-200\n" * 3,
+        ("algebra", "spectral", "{doc}", "--semifield", "max-times"), "underflow"),
     "min-times product that underflows": (
         {"kind": "span_min", "semifield": "min-times",
          "A": [[1e-300, 1e300], [1e300, 1e-300]],
@@ -274,11 +287,29 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, case):
     doc, args, named = _BAD_INPUTS[case]
     path = tmp_path / "doc.json"
     if doc is not None:
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     r = run(*(a.format(doc=path) for a in args))
     assert r.returncode == 1
     assert r.stderr.startswith("error: ") and named in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [("--help",), ("verify", "--help")], ids=" ".join)
+def test_help_exits_zero(args):
+    r = run(*args)
+    assert r.returncode == 0 and r.stdout.startswith("usage: tropsolve")
+    assert r.stderr == ""
+
+
+def test_verify_flags_parse_like_document_keys(tmp_path):
+    # --window takes a rational, as verify.window does
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "rayleigh", "A": [[1, 2], [3, 4]]}))
+    flag = run("verify", str(path), "--json", "--window", "1/2")
+    path.write_text(json.dumps({"kind": "rayleigh", "A": [[1, 2], [3, 4]],
+                                "verify": {"window": "1/2"}}))
+    assert flag.returncode == 0, flag.stderr
+    assert flag.stdout == run("verify", str(path), "--json").stdout
 
 
 @pytest.mark.parametrize("text, args", [

@@ -29,7 +29,7 @@ from tropsolve import (
     verify_report,
 )
 from tropsolve.gen import generate
-from tropsolve.oracle import _axis, data_span_grid
+from tropsolve.oracle import _axis
 from tropsolve.problems import PROBLEM_KINDS
 from tropsolve.systems import BoxSolutionSet, EmptySolutionSet
 
@@ -156,9 +156,22 @@ def test_verify_report_passes_and_detects_corruption():
 def test_verify_infeasible_instance():
     data = {"p": vec(4), "q": vec(0), "g": vec(3), "h": vec(1)}
     rep = solve("cheb_box", **data)
-    grid = data_span_grid("cheb_box", data)
-    vr = verify_report("cheb_box", data, rep, grid=grid)
+    vr = verify_report("cheb_box", data, rep)
     assert vr.passed and vr.grid_optimum is None
+
+
+def test_infeasible_report_walks_the_data_span_grid():
+    # no anchor to center on: the data range [0, 4] widened by one unit,
+    # in steps of default_step(1) = 1/2
+    data = {"p": vec(4), "q": vec(0), "g": vec(3), "h": vec(1)}
+    rep = solve("cheb_box", **data)
+    assert rep.status == "infeasible"
+    grid = default_grid("cheb_box", data, rep)
+    assert [(lo.v, hi.v) for lo, hi in grid.intervals] == [(-1, 5)]
+    assert grid.step.v == F(1, 2)
+    vr = verify_report("cheb_box", data, rep)
+    assert grid_search("cheb_box", data, grid).points_total == 13
+    assert vr.passed and vr.grid_points == 13
 
 
 def test_default_step_lattice():

@@ -88,6 +88,13 @@ def test_multiplicative_carrier_domain():
         MIN_TIMES.scalar(0)
 
 
+@pytest.mark.parametrize("sf", (MAX_TIMES, MIN_TIMES), ids=lambda s: s.tag)
+def test_values_past_the_float_range_are_carrier_errors(sf):
+    for raw in (10 ** 400, F(10 ** 400), "1e400", F(1, 10 ** 400), "1e-400"):
+        with pytest.raises(CarrierDomainError, match="finite and positive"):
+            sf.payload(raw)
+
+
 @pytest.mark.parametrize("sf", ALL, ids=lambda s: s.tag)
 def test_non_numbers_are_not_carrier_values(sf):
     for raw in (True, False, [1], {"v": 1}, b"1"):
