@@ -61,8 +61,6 @@ from .solvers import (
     solve,
     solve_cheb_box,
     solve_cheb_image_lower,
-    solve_cheb_kleene,
-    solve_cheb_kleene_box,
     solve_span_max,
     solve_span_max_constrained,
     solve_span_max_norm,

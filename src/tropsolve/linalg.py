@@ -343,7 +343,9 @@ def spectral_radius(a: Matrix) -> Scalar:
     payloads, lifted to ints on additive carriers, where the meet and
     the sum compare the means ``(D_n(v) - D_k(v)) / (n - k)`` by cross
     multiplication and one ``Fraction`` is built at the end: exact.  The
-    zero scalar signals a matrix without nonzero cycles.
+    zero scalar signals a matrix without nonzero cycles.  On a
+    multiplicative carrier a walk weight that underflows to ``0.0`` raises
+    :class:`CarrierDomainError`.
     """
     a._require_square("spectral radius")
     sf, n = a.sf, a.rows
@@ -383,11 +385,14 @@ def spectral_radius(a: Matrix) -> Scalar:
         if best is None:
             return sf.zero
         return sf.wrap(canonical(Fraction(sign * best[0], best[1] * scale)))
+    underflow = "a walk weight of the spectral radius underflowed to 0.0"
     lam = None
     try:
         for v, top in enumerate(tops):
             if top is None:
                 continue
+            if top == 0.0:  # every mean at v would read 0.0
+                raise CarrierDomainError(underflow)
             worst = top ** (1 / n)  # k = 0, where D_0(v) is one
             for k in range(1, n):
                 dk = walks[k][v]
@@ -397,8 +402,7 @@ def spectral_radius(a: Matrix) -> Scalar:
                         worst = mean
             lam = sf.add_payload(lam, worst)
     except ZeroDivisionError:
-        raise CarrierDomainError(
-            "a walk weight of the spectral radius underflowed to 0.0") from None
+        raise CarrierDomainError(underflow) from None
     return sf.wrap(lam)
 
 

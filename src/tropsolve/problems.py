@@ -9,7 +9,8 @@ and ``<=`` do.  The solvers, the document reader and writer and the oracle
 all go through this table; the oracle evaluates the semantics on the grid
 and on sampled solution-set members, so a bug in a solver formula cannot
 hide behind itself.  The seven spectral kinds are rows of one general
-problem, built by :func:`_bordered`.
+problem, built by :func:`_bordered`; ``cheb_kleene`` and ``cheb_kleene_box``
+are solved as rows of it too, without A.
 """
 
 from __future__ import annotations
@@ -208,10 +209,12 @@ PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
         _bounds(("g",))),
     ProblemKind(
         "cheb_kleene_box", "min", {"B": "nn", "p": "n", "q": "n", "g": "n", "h": "n"},
-        solvers.solve_cheb_kleene_box, _distance, _bounds(("B", "g", "h"))),
+        partial(solvers.bordered_optimum, "cheb_kleene_box"), _distance,
+        _bounds(("B", "g", "h"))),
     ProblemKind(
         "cheb_kleene", "min", {"B": "nn", "p": "n", "q": "n"},
-        solvers.solve_cheb_kleene, _distance, _recursion_cap("B")),
+        partial(solvers.bordered_optimum, "cheb_kleene"), _distance,
+        _recursion_cap("B")),
     ProblemKind(
         "span_min", "min", {"A": "mn", "B": "mn", "p": "m", "q": "m"},
         solvers.solve_span_min, _span_ratio, _bounds(())),

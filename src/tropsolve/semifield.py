@@ -191,8 +191,10 @@ class Semifield:
     def inv_payload(self, u):
         if u is None:
             raise ZeroInversionError("the semifield zero has no inverse")
-        try:
-            return -u if self.additive else 1.0 / u
+        if self.additive:
+            return -u
+        try:  # 1 / inf gives 0.0 and 1 / a subnormal inf: both are refused
+            return checked_float(1.0 / u)
         except ZeroDivisionError:
             raise CarrierDomainError("cannot invert 0.0 (an underflow)") from None
 

@@ -13,12 +13,13 @@ kinds report one ray of minimizers, and ``span_max`` / ``span_max_norm`` /
 ``span_max_constrained`` report the family of the first pinned index when
 several tie.
 
-The seven kinds with a form ``x- A x`` are rows of one general problem,
-``min x- A x + x- p + q- x + r`` subject to ``B x + g <= x`` and
-``C x <= h``: each row of :data:`tropsolve.problems.PROBLEM_KINDS` declares
-which of those inputs it has, and its solver is :func:`bordered_optimum`
-with the kind bound.  ``cheb_box``, ``cheb_kleene`` and ``cheb_kleene_box``
-are its ``A = 0`` case, written out, with their own checks on p.
+The seven kinds with a form ``x- A x``, ``cheb_kleene`` and
+``cheb_kleene_box`` are rows of one general problem, ``min x- A x + x- p +
+q- x + r`` subject to ``B x + g <= x`` and ``C x <= h``: each row of
+:data:`tropsolve.problems.PROBLEM_KINDS` declares which of those inputs it
+has, and its solver is :func:`bordered_optimum` with the kind bound.
+Without A the optimum has a closed form.  ``cheb_box``, the case without A
+and B, is written out, since it reports a box with its own checks.
 
 Solvers are addressed by stable kind identifiers through :func:`solve`,
 which checks every input against the shapes declared in
@@ -141,51 +142,6 @@ def solve_cheb_image_lower(a: Matrix, p: Matrix, q: Matrix, g: Matrix) -> Optimu
     return _optimal(kind, mu, BoxSolutionSet(x, x), diags)
 
 
-def solve_cheb_kleene_box(b: Matrix, p: Matrix, q: Matrix,
-                          g: Matrix, h: Matrix) -> OptimumReport:
-    """Minimize ``x- p + q- x`` subject to ``B x + g <= x`` and ``x <= h``.
-
-    ``(q- B* p)^(1/2) + h- B* p + q- B* g`` is the bordered optimum at
-    ``A = 0``; written out, it runs 2 to 5 times faster than a spectral
-    radius on n + 1 nodes."""
-    kind = "cheb_kleene_box"
-    diags: list = []
-    _require(not p.is_zero, "p nonzero", diags)
-    _require(is_regular_vector(q), "q regular", diags)
-    _require(is_regular_vector(h), "h regular", diags)
-    closure = kleene_star(b)
-    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
-        return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    bs = closure.matrix
-    if not _gate((h.conj() @ (bs @ g)).item() <= b.sf.one, "h- B* g <= one", diags):
-        return _infeasible(kind, INFEASIBLE_BOX, diags)
-    theta = (((q.conj() @ (bs @ p)).item() ** _HALF)
-             + (h.conj() @ (bs @ p)).item()
-             + (q.conj() @ (bs @ g)).item())
-    lower = g + theta.inv() * p
-    upper = ((h.conj() + theta.inv() * q.conj()) @ bs).conj()
-    sol = GeneratedSolutionSet(bs, lower, upper)
-    return _optimal(kind, theta, sol, diags)
-
-
-def solve_cheb_kleene(b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
-    """Minimize ``x- p + q- x`` subject to ``B x <= x``; ``(q- B* p)^(1/2)``
-    is the bordered optimum at ``A = 0``, 3 to 9 times faster written out."""
-    kind = "cheb_kleene"
-    diags: list = []
-    _require(not p.is_zero, "p nonzero", diags)
-    _require(is_regular_vector(q), "q regular", diags)
-    closure = kleene_star(b)
-    if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
-        return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
-    bs = closure.matrix
-    theta = (q.conj() @ (bs @ p)).item() ** _HALF
-    lower = theta.inv() * p
-    upper = theta * (q.conj() @ bs).conj()
-    sol = GeneratedSolutionSet(bs, lower, upper)
-    return _optimal(kind, theta, sol, diags)
-
-
 # ----------------------------------------------------------------------
 # span-seminorm problems
 
@@ -287,19 +243,22 @@ def solve_span_max_constrained(a: Matrix, b: Matrix, c: Matrix,
 # ----------------------------------------------------------------------
 # quadratic-form problems built on the spectral radius
 
-def bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
-                     c: Matrix | None = None, p: Matrix | None = None,
-                     q: Matrix | None = None, r: Scalar | None = None,
-                     g: Matrix | None = None, h: Matrix | None = None,
+def bordered_optimum(kind: str, a: Matrix | None = None, *,
+                     b: Matrix | None = None, c: Matrix | None = None,
+                     p: Matrix | None = None, q: Matrix | None = None,
+                     r: Scalar | None = None, g: Matrix | None = None,
+                     h: Matrix | None = None,
                      flag: str | None = None) -> OptimumReport:
     """Report on ``min x- A x + x- p + q- x + r`` subject to ``B x + g <= x``
-    and ``C x <= h`` (a box when C is absent), absent inputs being zero.
+    and ``C x <= h`` (a box when C is absent), absent inputs being zero;
+    without A, B, p and q must be present.
 
     The gates run in one order, each only when its input is present:
-    ``spectral radius > zero``, ``C column-regular`` (an all-zero C is a
-    vacuous cap), ``q regular``, ``h regular``, ``Tr(B) <= one``, and the
-    cap gate ``v w <= one`` for ``w = B* g``, ``v = cap B*``, ``cap = h- C``
-    (named ``h- C B* g <= one``, or ``h- g <= one`` for a box).
+    ``spectral radius > zero`` (``p nonzero`` without A), ``C
+    column-regular`` (an all-zero C is a vacuous cap), ``q regular``, ``h
+    regular``, ``Tr(B) <= one``, and the cap gate ``v w <= one`` for ``w =
+    B* g``, ``v = cap B*``, ``cap = h- C``, named after the inputs it reads:
+    ``h- C B* g <= one``, ``h- B* g <= one`` or ``h- g <= one``.
 
     ``theta = lambda(Z* U)`` on n + 1 nodes, for ``U = [[A, p], [q-, r]]``
     and ``Z = [[B, g], [cap, zero]]``: the largest ratio of weight to
@@ -313,11 +272,18 @@ def bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
     ``B x + g <= x`` without a cap it is ``lambda(B* A)``, the largest ratio
     of weight to number of A-edges over the cycles of the digraph of
     ``A + B``, with or without p, since no cycle runs through p.  Under both
-    constraints it is ``lambda(B* A + B* g h- C B* A)``.
+    constraints it is ``lambda(B* A + B* g h- C B* A)``.  Without A a cycle
+    carries at most two U-edges, ``q-`` and p, so ``theta`` is the closed
+    form ``(q- B* p)^(1/2) + (cap B* p + r) + q- B* g`` and ``G = B*``, with
+    no spectral radius taken.
     """
-    sf, n = a.sf, a.rows
     diags: list = []
-    _require(has_cycle(a), "spectral radius > zero", diags)
+    if a is None:
+        _require(not p.is_zero, "p nonzero", diags)
+        sf, n = p.sf, p.rows
+    else:
+        _require(has_cycle(a), "spectral radius > zero", diags)
+        sf, n = a.sf, a.rows
     if c is not None and not c.is_zero:
         _require(c.is_col_regular(), "C column-regular", diags)
     if q is not None:
@@ -335,32 +301,42 @@ def bordered_optimum(kind: str, a: Matrix, *, b: Matrix | None = None,
         if not _gate(closure.closure_valid, "Tr(B) <= one", diags):
             return _infeasible(kind, NO_REGULAR_SOLUTION, diags)
         bs = closure.matrix
-        w, v = bs @ w, v @ bs
-    cap_gate = "h- g <= one" if c is None else "h- C B* g <= one"
+        if g is not None:
+            w = bs @ w
+        if cap is not None:
+            v = v @ bs
+    cap_gate = "h-" + " C" * (c is not None) + " B*" * (b is not None) + " g <= one"
     if h is not None and not _gate((v @ w).item() <= sf.one, cap_gate, diags):
         return _infeasible(kind, INFEASIBLE_BOX, diags)
-    top, right = (a, pz) if b is None else (bs @ a, bs @ pz)
-    # Z* U = [[B* A + w y, B* p + w s], [y, s]]
     qc = None if q is None else q.conj()
-    y = v @ a if qc is None else (v @ a) + qc
     s = (v @ pz).item() + (sf.zero if r is None else r)
-    top, right = top + (w @ y), right + (s * w)
-    if s.is_zero and (y.is_zero or right.is_zero):
-        theta = spectral_radius(top)  # the border node is on no cycle
+    if a is None:
+        gen = bs
+        qb = qc @ bs
+        theta = ((qb @ p).item() ** _HALF) + s + (qc @ w).item()
+        t_inv = theta.inv()
+        upper = ((t_inv * qb) + v).conj()  # the n^2 product q- B* ran without theta
     else:
-        rows = tuple(t + e for t, e in zip(top.p, right.p)) + (y.p[0] + (s.v,),)
-        theta = spectral_radius(Matrix._raw(sf, rows))
-    t_inv = theta.inv()
-    scaled = t_inv * a if b is None else (t_inv * a) + b
-    if flag is None:
-        gen = scaled.star()  # the method, whose calls perfbench traces
-    else:
-        closure = kleene_star(scaled)
-        diags.append((flag, closure.closure_valid))
-        gen = closure.matrix
+        top, right = (a, pz) if b is None else (bs @ a, bs @ pz)
+        # Z* U = [[B* A + w y, B* p + w s], [y, s]]
+        y = v @ a if qc is None else (v @ a) + qc
+        top, right = top + (w @ y), right + (s * w)
+        if s.is_zero and (y.is_zero or right.is_zero):
+            theta = spectral_radius(top)  # the border node is on no cycle
+        else:
+            rows = tuple(t + e for t, e in zip(top.p, right.p)) + (y.p[0] + (s.v,),)
+            theta = spectral_radius(Matrix._raw(sf, rows))
+        t_inv = theta.inv()
+        scaled = t_inv * a if b is None else (t_inv * a) + b
+        if flag is None:
+            gen = scaled.star()  # the method, whose calls perfbench traces
+        else:
+            closure = kleene_star(scaled)
+            diags.append((flag, closure.closure_valid))
+            gen = closure.matrix
+        row = cap if qc is None else (t_inv * qc if cap is None else (t_inv * qc) + cap)
+        upper = None if row is None else (row @ gen).conj()
     lower = g if p is None else (t_inv * p if g is None else (t_inv * p) + g)
-    row = cap if qc is None else (t_inv * qc if cap is None else (t_inv * qc) + cap)
-    upper = None if row is None else (row @ gen).conj()
     return _optimal(kind, theta, GeneratedSolutionSet(gen, lower, upper), diags)
 
 

@@ -273,6 +273,9 @@ _BAD_INPUTS = {
     "max-times spectral radius whose walk weight underflows": (
         "1e-200 1e-200 1e-200\n" * 3,
         ("algebra", "spectral", "{doc}", "--semifield", "max-times"), "underflow"),
+    "max-times spectral radius whose walks of length n underflow": (
+        "1e-200 1e-200\n" * 2,
+        ("algebra", "spectral", "{doc}", "--semifield", "max-times"), "underflow"),
     "min-times product that underflows": (
         {"kind": "span_min", "semifield": "min-times",
          "A": [[1e-300, 1e300], [1e300, 1e-300]],

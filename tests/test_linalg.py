@@ -158,6 +158,14 @@ def test_spectral_radius():
     assert spectral_radius(acyclic).is_zero
 
 
+@pytest.mark.parametrize("sf", [MAX_TIMES, MIN_TIMES], ids=lambda s: s.tag)
+def test_spectral_radius_refuses_walks_of_length_n_that_underflow(sf):
+    # the walks of length 1 weigh 1e-200 but those of length 2 underflow to
+    # 0.0, which would make every cycle mean read 0.0 where lambda is 1e-200
+    with pytest.raises(CarrierDomainError, match="underflow"):
+        spectral_radius(Matrix.from_rows(sf, [[1e-200] * 2] * 2))
+
+
 def test_cycle_mean_radius_oracle():
     assert cycle_mean_radius(mp([[1, 2], [3, 4]])).v == 4
     assert cycle_mean_radius(Matrix.identity(MAX_PLUS, 4)) == MAX_PLUS.one

@@ -174,6 +174,30 @@ def test_infeasible_report_walks_the_data_span_grid():
     assert vr.passed and vr.grid_points == 13
 
 
+def test_data_span_grid_reaches_a_scalar_input():
+    # r is the one payload outside [0, 5]: the span must come from it too
+    data = {"A": vec(0).transpose(), "p": vec(0), "q": vec(0), "g": vec(5),
+            "h": vec(0), "r": MAX_PLUS.scalar(100)}
+    rep = solve("new_boxed_spectral", **data)
+    assert rep.status == "infeasible"
+    grid = default_grid("new_boxed_spectral", data, rep)
+    assert [(lo.v, hi.v) for lo, hi in grid.intervals] == [(-1, 101)]
+
+
+def test_max_times_gap_is_a_ratio():
+    # max(x, 16/x) is least at x = 4, but the grid {1, 8} reaches only 8:
+    # a gap of 8/4, where a difference would read 4
+    sf = MAX_TIMES
+    data = {name: vector(sf, [v]) for name, v in
+            (("p", 16.0), ("q", 1.0), ("g", 1.0), ("h", 16.0))}
+    rep = solve("cheb_box", **data)
+    assert rep.optimum == sf.scalar(4.0)
+    grid = GridSpec(((sf.scalar(1.0), sf.scalar(8.0)),), sf.scalar(8.0))
+    vr = verify_report("cheb_box", data, rep, grid=grid)
+    assert vr.grid_optimum == sf.scalar(8.0) and vr.gap == 2.0
+    assert not vr.grid_beats_solver and not vr.passed
+
+
 def test_default_step_lattice():
     assert default_step(1) == F(1, 2)
     assert default_step(2) == F(1, 6)

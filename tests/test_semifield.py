@@ -112,6 +112,14 @@ def test_floats_out_of_range_are_refused(v):
             MIN_TIMES.inv_payload(v)
 
 
+@pytest.mark.parametrize("sf", (MAX_TIMES, MIN_TIMES), ids=lambda s: s.tag)
+def test_inverse_of_an_overflowed_value_is_refused(sf):
+    # 1e300 * 1e300 overflows to inf, whose inverse would read 0.0
+    big = sf.scalar(1e300) * sf.scalar(1e300)
+    with pytest.raises(CarrierDomainError, match="range of positive floats"):
+        big.inv()
+
+
 def test_literals_round_trip():
     s = MAX_PLUS.scalar("7/2")
     assert s.v == F(7, 2) and s.literal() == "7/2"

@@ -14,6 +14,9 @@ from tropsolve import (
     INFEASIBLE,
     INFEASIBLE_BOX,
     MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    MIN_TIMES,
     NO_REGULAR_SOLUTION,
     OPTIMAL,
     PROBLEM_KINDS,
@@ -133,6 +136,23 @@ def test_cheb_kleene_examples():
     rep = solve("cheb_kleene", B=mp([[-1]]), p=vec(4), q=vec(0))
     assert rep.optimum.v == 2
     assert rep.solution.lower == vec(2) and rep.solution.upper == vec(2)
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.tag)
+def test_kleene_chebyshev_kinds_take_no_spectral_radius(sf, monkeypatch):
+    # without A a cycle carries at most two objective edges, q- and p, so
+    # the optimum is a closed form: no Karp, as in the written-out solvers
+    def karp(a):
+        raise AssertionError("spectral_radius called")
+
+    monkeypatch.setattr(solvers, "spectral_radius", karp)
+    for kind in ("cheb_kleene", "cheb_kleene_box"):
+        for n in (1, 3, 5):
+            data = generate(kind, n, seed=n, sf=sf)
+            rep = solve(kind, **data)
+            assert rep.status == OPTIMAL
+            _attained(kind, data, rep, samples=4)
 
 
 def test_cheb_kleene_agrees_with_loose_box():
@@ -479,7 +499,7 @@ def test_new_boxed_spectral_infeasible_box():
 
 BORDERED_KINDS = ("rayleigh", "rayleigh_affine", "rayleigh_two_constraints",
                   "rayleigh_lower", "rayleigh_box", "rayleigh_p_lower",
-                  "new_boxed_spectral")
+                  "new_boxed_spectral", "cheb_kleene", "cheb_kleene_box")
 
 
 def test_registry_covers_all_kinds():
@@ -564,12 +584,16 @@ def test_span_max_column_score_mismatch_raises_invariant_error(monkeypatch):
         solve("span_max", **data)
 
 
-@pytest.mark.parametrize("kind", ["rayleigh_box", "new_boxed_spectral",
-                                  "rayleigh_two_constraints"])
+CAP_GATES = {"rayleigh_box": "h- g <= one", "new_boxed_spectral": "h- g <= one",
+             "rayleigh_two_constraints": "h- C B* g <= one",
+             "cheb_kleene_box": "h- B* g <= one"}
+
+
+@pytest.mark.parametrize("kind", sorted(CAP_GATES))
 def test_cap_gate_is_the_border_cycle(kind):
-    # the cap value (h- g, or h- C B* g) is the weight of the border cycle
-    # through g and the cap; at one the solve passes, just above it the
-    # cap gate is the last check and the box is empty
+    # the cap value (h- g, h- B* g or h- C B* g) is the weight of the border
+    # cycle through g and the cap; at one the solve passes, just above it
+    # the cap gate is the last check and the box is empty
     for t, status in ((0, OPTIMAL), (F(1, 64), INFEASIBLE)):
         data = {"A": mp([[0, 1], [1, 0]]), "g": vec(t, 0), "h": vec(0, 0)}
         if kind == "new_boxed_spectral":
@@ -577,8 +601,12 @@ def test_cap_gate_is_the_border_cycle(kind):
         elif kind == "rayleigh_two_constraints":
             data.update(B=mp([[None, 0], [None, None]]), C=mp([[0, 0]]),
                         g=vec(None, t), h=vec(0))
+        elif kind == "cheb_kleene_box":
+            del data["A"]
+            data.update(B=mp([[None, 0], [None, None]]), p=vec(0, 0),
+                        q=vec(0, 0), g=vec(None, t))
         rep = solve(kind, **data)
-        cap_gate = "h- C B* g <= one" if "C" in data else "h- g <= one"
+        cap_gate = CAP_GATES[kind]
         assert rep.status == status
         assert (cap_gate, status == OPTIMAL) in rep.diagnostics
         if status == INFEASIBLE:
