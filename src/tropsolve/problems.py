@@ -223,7 +223,7 @@ PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
         lambda sf, d, x: _spread(sf, _apply(sf, d["A"], x)),
         _bounds(())),
     ProblemKind(
-        "span_min_constrained", "min", {"C": "nn", "D": "nn"},
+        "span_min_constrained", "min", {"C": "mn", "D": "nn"},
         solvers.solve_span_min_constrained,
         lambda sf, d, x: _spread(sf, _apply(sf, d["C"], x)),
         _recursion_cap("D")),

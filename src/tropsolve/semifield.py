@@ -106,12 +106,17 @@ class Semifield:
         self.tag = tag
         self.maximizing = tag.startswith("max")
         self.additive = tag in _ADDITIVE_TAGS
-        self._zero = Scalar(self, None, _token=_TOKEN)
-        unit = 0 if self.additive else 1.0
-        self._one = Scalar(self, unit, _token=_TOKEN)
+        self._zero = zero = object.__new__(Scalar)
+        zero.sf, zero.v = self, None
+        self._one = self.wrap(0 if self.additive else 1.0)
 
     def __repr__(self) -> str:
         return f"Semifield({self.tag})"
+
+    def __reduce__(self) -> str:
+        # the name of this module's constant (MAX_PLUS, ...): pickle stores a
+        # reference to it and copy returns self, so values keep the singleton
+        return self.tag.upper().replace("-", "_")
 
     @property
     def zero(self) -> Scalar:
@@ -161,7 +166,11 @@ class Semifield:
 
     def wrap(self, u) -> Scalar:
         """The Scalar of a payload computed by the rules below: unchecked."""
-        return self._zero if u is None else Scalar(self, u, _token=_TOKEN)
+        if u is None:
+            return self._zero
+        s = object.__new__(Scalar)
+        s.sf, s.v = self, u
+        return s
 
     def literal_payload(self, text: str):
         """The payload of a scalar literal: decimal or rational text, or the
@@ -173,10 +182,6 @@ class Semifield:
             return self.payload(stripped)
         except (ValueError, ArithmeticError, CarrierDomainError) as exc:
             raise CarrierDomainError(f"{stripped[:40]!r}: {exc}") from exc
-
-    def from_literal(self, text: str) -> Scalar:
-        """The Scalar of a literal, as :meth:`literal_payload` reads it."""
-        return self.wrap(self.literal_payload(text))
 
     # the carrier rules on payloads, None being the zero; the addition picks by
     # the order, as Scalar + does, so a tie (within REL_TOL on floats) keeps v
@@ -213,20 +218,14 @@ class Semifield:
         return u == v if self.additive else math.isclose(u, v, rel_tol=REL_TOL)
 
 
-# guards Scalar.__init__ against accidental direct construction with a raw payload
-_TOKEN = object()
-
-
 class Scalar:
-    """An element of one semifield: the zero marker or a carrier number."""
+    """An element of one semifield: the zero marker or a carrier number.
+
+    It has no constructor: :meth:`Semifield.scalar` builds one from a value
+    and :meth:`Semifield.wrap` from a payload.
+    """
 
     __slots__ = ("sf", "v")
-
-    def __init__(self, sf: Semifield, payload, _token=None):
-        if _token is not _TOKEN:
-            raise TypeError("use Semifield.scalar() to construct scalars")
-        self.sf = sf
-        self.v = payload
 
     @property
     def is_zero(self) -> bool:
@@ -306,4 +305,3 @@ MIN_TIMES = Semifield("min-times")
 SEMIFIELDS = {
     sf.tag: sf for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
 }
-

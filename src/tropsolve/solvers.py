@@ -318,9 +318,10 @@ def bordered_optimum(kind: str, a: Matrix | None = None, *,
         upper = ((t_inv * qb) + v).conj()  # the n^2 product q- B* ran without theta
     else:
         top, right = (a, pz) if b is None else (bs @ a, bs @ pz)
-        # Z* U = [[B* A + w y, B* p + w s], [y, s]]
+        # Z* U = [[B* A + w y, B* p + w s], [y, s]], where w is zero without g
         y = v @ a if qc is None else (v @ a) + qc
-        top, right = top + (w @ y), right + (s * w)
+        if g is not None:
+            top, right = top + (w @ y), right + (s * w)
         if s.is_zero and (y.is_zero or right.is_zero):
             theta = spectral_radius(top)  # the border node is on no cycle
         else:

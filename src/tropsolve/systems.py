@@ -6,7 +6,8 @@ type answers the same protocol, so no caller branches on the type:
 * ``is_empty``: whether the set has no member;
 * ``anchor()``: one exact, regular, optimum-attaining member;
 * ``sample(count, seed, window)``: deterministic members, boundary vectors
-  first, unbounded directions explored within ``window`` carrier units;
+  first, unbounded directions explored within ``window`` carrier units; all
+  are points of a box, scaled for a ray or a family, mapped by any generator;
 * ``to_dict()``: the ``solution`` object of a JSON report;
 * ``describe()``: the lines ``tropsolve solve`` prints for the set.
 
@@ -44,52 +45,56 @@ _SAMPLE_DENOM = 16  # denominator of the random interpolation parameters
 # ----------------------------------------------------------------------
 # sampling and text helpers shared by the solution types
 
-def _sampler(sf: Semifield, seed: int, window):
-    """Random interpolation parameters in [0, 1] with denominator 16, and
-    the window as a scalar at least one."""
-    rng = random.Random(seed)
-    w = sf.scalar(window)
-    if not sf.one <= w:
-        w = w.inv()
-    if not sf.one <= w:
-        w = sf.one
-    return (lambda: Fraction(rng.randint(0, _SAMPLE_DENOM), _SAMPLE_DENOM)), w
-
-
-def _coord_sample(lo: Scalar | None, hi: Scalar | None, t: Fraction,
-                  w: Scalar, sf: Semifield) -> Scalar:
-    lo_ok = lo is not None and not lo.is_zero
-    hi_ok = hi is not None and not hi.is_zero
-    if lo_ok and hi_ok:
-        return lo * (lo.inv() * hi) ** t
-    if hi_ok:
-        return hi * (w ** t).inv()
-    if lo_ok:
-        return lo * w ** t
-    return sf.one * w ** (2 * t - 1)
+def _coordinate(lo: Scalar | None, hi: Scalar | None, w: Scalar, sf: Semifield):
+    """A random coordinate between two optional bounds, as a function of
+    ``t``, which draws its parameter in [0, 1]: within w^t of a lone bound,
+    and within w^(2t - 1) of one when there is none."""
+    if lo is not None and hi is not None:
+        ratio = lo.inv() * hi
+        return lambda t: lo * ratio ** t()
+    if hi is not None:
+        return lambda t: hi * (w ** t()).inv()
+    if lo is not None:
+        return lambda t: lo * w ** t()
+    return lambda t: sf.one * w ** (2 * t() - 1)
 
 
 def _box_is_empty(lower: Matrix | None, upper: Matrix | None) -> bool:
     return lower is not None and upper is not None and not lower <= upper
 
 
-def _sample_box(sf: Semifield, n: int, lower: Matrix | None,
-                upper: Matrix | None, count: int, seed: int, window) -> list[Matrix]:
-    """Regular bounds of the box first, then random points between them
-    (exact rational parameters, so additive carriers stay rational)."""
+def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | None,
+                count: int, seed: int, window, cone: bool = False) -> list[Matrix]:
+    """Regular bounds of the box first, then random points between them, their
+    coordinates drawn in turn with exact rational parameters, so additive
+    carriers stay rational; w is ``window`` or its inverse, at least one.
+
+    A ``cone`` is every positive multiple of its box: each random point is
+    scaled by ``one * w^(2t - 1)``, t drawn last.  There a coordinate the
+    box fixes draws no t, and the point box {d} is listed once, then scaled.
+    """
     if _box_is_empty(lower, upper):
         raise DegenerateInputError("cannot sample an empty solution set")
-    t_rand, w = _sampler(sf, seed, window)
-    out = []
-    for bound in (lower, upper):
-        if bound is not None and is_regular_vector(bound) and len(out) < count:
-            out.append(bound)
+    rng = random.Random(seed)
+    w = sf.scalar(window)
+    if not sf.one <= w:  # a window below one inverts to one above it
+        w = w.inv()
+    lows, highs = ([None] * n if b is None else
+                   [None if u is None else sf.wrap(u) for (u,) in b.p]
+                   for b in (lower, upper))  # a zero entry bounds nothing
+    coords = [(lambda t, lo=lo: lo) if cone and lo is not None and lo == hi
+              else _coordinate(lo, hi, w, sf) for lo, hi in zip(lows, highs)]
+    scale = _coordinate(None, None, w, sf)
+    point = cone and lower == upper
+    out = [b for b in ((lower,) if point else (lower, upper))
+           if b is not None and is_regular_vector(b)][:count]
+
+    def t():
+        return Fraction(rng.randint(0, _SAMPLE_DENOM), _SAMPLE_DENOM)
+
     while len(out) < count:
-        out.append(Matrix(sf, tuple(
-            (_coord_sample(None if lower is None else lower[i],
-                           None if upper is None else upper[i],
-                           t_rand(), w, sf),)
-            for i in range(n))))
+        x = lower if point else Matrix._raw(sf, tuple([(c(t).v,) for c in coords]))
+        out.append(scale(t) * x if cone else x)
     return out
 
 
@@ -199,12 +204,8 @@ class RaySolution:
         return self.direction
 
     def sample(self, count: int, seed: int, window) -> list[Matrix]:
-        sf = self.direction.sf
-        t_rand, w = _sampler(sf, seed, window)
-        alphas = [sf.one]
-        while len(alphas) < count:
-            alphas.append(sf.one * w ** (2 * t_rand() - 1))
-        return [alpha * self.direction for alpha in alphas]
+        d = self.direction
+        return _sample_box(d.sf, d.rows, d, d, count, seed, window, cone=True)
 
     def to_dict(self) -> dict:
         return {"type": "ray", "direction": encode_vector(self.direction)}
@@ -235,39 +236,25 @@ class ComponentwiseFamily:
 
     is_empty = False
 
-    def _member(self, u: Matrix) -> Matrix:
-        return u if self.generator is None else self.generator @ u
-
-    def _require_bounded(self) -> None:
-        if any(b is None for j, b in enumerate(self.upper_bounds)
-               if j != self.pinned_index):
+    def _box(self) -> tuple[Matrix, Matrix]:
+        """The box of u that the family scales: ``u[k]`` is the pinned value,
+        and every other coordinate lies below its cap."""
+        k, pinned = self.pinned_index, self.pinned_value
+        if any(b is None for j, b in enumerate(self.upper_bounds) if j != k):
             raise DegenerateInputError("family has unbounded coordinates")
+        return (Matrix(pinned.sf, tuple((pinned if j == k else None,)
+                                        for j in range(len(self.upper_bounds)))),
+                Matrix(pinned.sf, tuple((pinned if j == k else b,)
+                                        for j, b in enumerate(self.upper_bounds))))
 
     def anchor(self) -> Matrix:
-        self._require_bounded()
-        k, sf = self.pinned_index, self.pinned_value.sf
-        return self._member(Matrix(sf, tuple(
-            (self.pinned_value if j == k else b,)
-            for j, b in enumerate(self.upper_bounds))))
+        u = self._box()[1]
+        return u if self.generator is None else self.generator @ u
 
     def sample(self, count: int, seed: int, window) -> list[Matrix]:
-        self._require_bounded()
-        sf, k = self.pinned_value.sf, self.pinned_index
-        t_rand, w = _sampler(sf, seed, window)
-        out = []
-        first = True
-        while len(out) < count:
-            alpha = sf.one if first else sf.one * w ** (2 * t_rand() - 1)
-            entries = []
-            for j, b in enumerate(self.upper_bounds):
-                if j == k:
-                    entries.append(alpha * self.pinned_value)
-                else:
-                    cap = alpha * b
-                    entries.append(cap if first else cap * (w ** t_rand()).inv())
-            first = False
-            out.append(self._member(Matrix(sf, tuple((e,) for e in entries))))
-        return out
+        lower, upper = self._box()
+        us = _sample_box(upper.sf, upper.rows, lower, upper, count, seed, window, cone=True)
+        return us if self.generator is None else [self.generator @ u for u in us]
 
     def to_dict(self) -> dict:
         return {"type": "componentwise",

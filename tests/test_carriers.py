@@ -8,7 +8,9 @@ order; the same solver code must keep working through the semifield
 comparisons alone.
 """
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -181,3 +183,22 @@ def test_tolerance_ties_keep_the_second_operand(sf, u, w):
     star = kleene_star(Matrix.from_rows(sf, [[w]]))
     assert star.closure_valid
     assert star.matrix.to_payloads() == [[w]]
+
+
+@pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES),
+                         ids=lambda sf: sf.tag)
+def test_pickled_and_copied_values_keep_their_semifield(sf):
+    # a copy must refer to the singleton, so that it mixes with the originals
+    report = solve("rayleigh_box", **generate("rayleigh_box", 3, seed=4, sf=sf))
+    m = report.solution.generator
+    for roundtrip in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        assert roundtrip(sf) is sf
+        for s in (sf.zero, sf.one, report.optimum):
+            t = roundtrip(s)
+            assert t == s and t.sf is sf
+            assert t + sf.one == s + sf.one and t * sf.one == s
+        t = roundtrip(m)
+        assert t == m and t @ m == m @ m and m @ t == m @ m
+        t = roundtrip(report)
+        assert t == report and t.optimum * sf.one == report.optimum
+        assert t.solution.anchor() == report.solution.anchor()

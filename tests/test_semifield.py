@@ -12,6 +12,7 @@ from tropsolve import (
     MIN_PLUS,
     MIN_TIMES,
     CarrierDomainError,
+    Scalar,
     TagMismatchError,
     ZeroInversionError,
 )
@@ -125,12 +126,12 @@ def test_literals_round_trip():
     assert s.v == F(7, 2) and s.literal() == "7/2"
     assert MAX_PLUS.scalar("-3").literal() == "-3"
     assert MAX_PLUS.scalar(2.5).v == F(5, 2)
-    assert MAX_PLUS.from_literal("null").is_zero
-    assert MAX_PLUS.from_literal(".").is_zero
+    assert MAX_PLUS.wrap(MAX_PLUS.literal_payload("null")).is_zero
+    assert MAX_PLUS.wrap(MAX_PLUS.literal_payload(".")).is_zero
     assert MAX_PLUS.zero.literal() == "null"
     assert MAX_PLUS.zero.literal(".") == "."
     t = MAX_TIMES.scalar(2.5)
-    assert MAX_TIMES.from_literal(t.literal()) == t
+    assert MAX_TIMES.wrap(MAX_TIMES.literal_payload(t.literal())) == t
 
 
 def test_literal_size_is_bounded():
@@ -147,9 +148,9 @@ def test_literal_size_is_bounded():
             with pytest.raises(CarrierDomainError, match="4300 digits"):
                 sf.scalar(literal)
     with pytest.raises(CarrierDomainError, match="'abc'"):
-        MAX_PLUS.from_literal("abc")
+        MAX_PLUS.wrap(MAX_PLUS.literal_payload("abc"))
     with pytest.raises(CarrierDomainError, match="4300 digits"):
-        MIN_PLUS.from_literal("1e99999")
+        MIN_PLUS.wrap(MIN_PLUS.literal_payload("1e99999"))
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_integral_input_parses_to_int(sf):
         assert type(s.v) is F and s.v == value
         assert json.dumps(encode_payload(s.v)) == json.dumps(str(value))
     assert type(sf.one.v) is int and sf.one.v == 0
-    assert type(sf.from_literal("10/5").v) is int
+    assert type(sf.wrap(sf.literal_payload("10/5")).v) is int
 
 
 @pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS), ids=lambda s: s.tag)
@@ -275,3 +276,8 @@ def test_inverse_cancels(sf):
         assert a.inv() * a == sf.one
 
     check()
+
+
+def test_scalar_has_no_constructor():
+    with pytest.raises(TypeError, match="takes no arguments"):
+        Scalar(MAX_PLUS, 3)

@@ -232,6 +232,22 @@ def test_span_min_constrained():
     assert hot.status == INFEASIBLE and hot.reason == NO_REGULAR_SOLUTION
 
 
+@pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS), ids=lambda sf: sf.tag)
+def test_span_min_constrained_non_square_c(sf):
+    # C maps x to an image of another dimension: m x n, with D n x n
+    sign = 1 if sf is MAX_PLUS else -1
+    d = Matrix.from_rows(sf, [[None, -3 * sign, None], [-2 * sign, None, -1 * sign],
+                              [None, 0, -4 * sign]])
+    for rows in ([[0, 1, None], [2, 0, -1]], [[0, 3], [1, None], [-2, 0]]):
+        c = Matrix.from_rows(sf, rows)
+        n = c.cols
+        data = {"C": c, "D": Matrix.from_rows(sf, [r[:n] for r in d.to_payloads()[:n]])}
+        rep = solve("span_min_constrained", **data)
+        assert rep.status == OPTIMAL and rep.solution.direction.rows == n
+        assert verify_report("span_min_constrained", data, rep, seed=5).passed
+        _attained("span_min_constrained", data, rep)
+
+
 def test_span_max_requires_zero_free_columns():
     # with zeros in A the objective is unbounded and the closed form
     # does not apply; the identity matrix is rejected

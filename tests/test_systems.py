@@ -1,23 +1,35 @@
-"""The two basic inequalities: principal solutions and star-generated sets."""
+"""The two basic inequalities, principal solutions and star-generated sets,
+and the sampling contract every solution type keeps."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from tropsolve import (
     MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    MIN_TIMES,
     BoxSolutionSet,
+    ComponentwiseFamily,
+    DegenerateInputError,
     EmptySolutionSet,
     GeneratedSolutionSet,
     Matrix,
     NO_REGULAR_SOLUTION,
     PreconditionError,
+    RaySolution,
+    is_regular_vector,
     principal_solution_leq,
     sample_solution_set,
+    solve,
     solve_sub_fixpoint,
     tr_functional,
     vector,
 )
+from tropsolve.gen import generate
 
 
 def mp(rows):
@@ -133,3 +145,113 @@ def test_box_solution_set_flags():
     assert BoxSolutionSet(hi, lo).is_empty
     assert BoxSolutionSet(lo, hi).contains(vector(MAX_PLUS, [0, 1]))
     assert not BoxSolutionSet(lo, hi).contains(vector(MAX_PLUS, [2, 0]))
+
+
+# ----------------------------------------------------------------------
+# the sampling contract of every solution type, on all four carriers
+
+CARRIERS = (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
+WINDOWS = (10, Fraction(1, 10), "3/2")
+
+
+def _sets(sf):
+    """(label, solution) of every solution type, from generated instances."""
+    out = []
+    for seed in (1, 2, 3):
+        for kind, label in (("cheb_box", "box"), ("cheb_image_lower", "point box"),
+                            ("cheb_kleene_box", "generated, both bounds"),
+                            ("rayleigh", "generated, no bounds"),
+                            ("span_min", "ray"), ("span_max", "componentwise"),
+                            ("span_max_constrained", "componentwise with G")):
+            rep = solve(kind, **generate(kind, 3, seed, sf))
+            if rep.solution is not None:
+                out.append((label, rep.solution))
+        a = generate("rayleigh_lower", 3, seed, sf)
+        out.append(("generated, lower bound",
+                    solve_sub_fixpoint(a["B"], a["g"])))
+    assert {label for label, _ in out} >= {
+        "box", "point box", "generated, both bounds", "generated, no bounds",
+        "generated, lower bound", "ray", "componentwise", "componentwise with G"}
+    return out
+
+
+def _window(sf, window):
+    w = sf.scalar(window)
+    return w if sf.one <= w else w.inv()
+
+
+def _meet(a, b):
+    return a if a <= b else b
+
+
+def _in_generated(sol, x):
+    """x = G u for a regular u in the box: u* = (x- G)- capped by upper is
+    the largest u with G u <= x."""
+    u = (x.conj() @ sol.generator).conj()
+    if sol.upper is not None:
+        u = Matrix(u.sf, tuple((_meet(u[i], sol.upper[i]),) for i in range(u.rows)))
+    return (is_regular_vector(u) and (sol.lower is None or sol.lower <= u)
+            and sol.generator @ u == x)
+
+
+def _scale_in_window(alpha, w):
+    return w.inv() <= alpha <= w
+
+
+def _in_set(sol, x, w):
+    if isinstance(sol, BoxSolutionSet):
+        return sol.contains(x)
+    if isinstance(sol, GeneratedSolutionSet):
+        return _in_generated(sol, x)
+    if isinstance(sol, RaySolution):
+        d = sol.direction
+        alpha = x[0] * d[0].inv()
+        return alpha * d == x and _scale_in_window(alpha, w)
+    k = sol.pinned_index
+    alpha = x[k] * sol.pinned_value.inv()
+    return (is_regular_vector(x) and _scale_in_window(alpha, w)
+            and all(x[j] <= alpha * b for j, b in enumerate(sol.upper_bounds) if j != k))
+
+
+def _firsts(sol):
+    """The members a sample must open with: the regular bounds, or the anchor."""
+    if isinstance(sol, (BoxSolutionSet, GeneratedSolutionSet)):
+        bounds = [b for b in (sol.lower, sol.upper)
+                  if b is not None and is_regular_vector(b)]
+        if isinstance(sol, GeneratedSolutionSet):
+            return [sol.generator @ b for b in bounds]
+        return bounds
+    return [sol.anchor()]
+
+
+@pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)
+def test_sampling_contract_of_every_solution_type(sf):
+    for label, sol in _sets(sf):
+        for seed, window in enumerate(WINDOWS):
+            members = sol.sample(9, seed, window)
+            assert len(members) == 9, label
+            assert members == sol.sample(9, seed, window), label
+            firsts = _firsts(sol)
+            assert members[:len(firsts)] == firsts, label
+            w = _window(sf, window)
+            if isinstance(sol, ComponentwiseFamily) and sol.generator is not None:
+                plain = replace(sol, generator=None)
+                us = plain.sample(9, seed, window)
+                assert members == [sol.generator @ u for u in us], label
+                assert all(_in_set(plain, u, w) for u in us), label
+            else:
+                assert all(_in_set(sol, x, w) for x in members), label
+            if sf.additive:
+                assert all(type(v) in (int, Fraction)
+                           for x in members for (v,) in x.p), label
+
+
+@pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)
+def test_sampling_empty_sets_raise(sf):
+    lo = Matrix.ones(sf, 2, 1)
+    hi = _window(sf, 2) * lo
+    for empty in (EmptySolutionSet(NO_REGULAR_SOLUTION), BoxSolutionSet(hi, lo),
+                  GeneratedSolutionSet(Matrix.identity(sf, 2), hi, lo)):
+        assert empty.is_empty
+        with pytest.raises(DegenerateInputError):
+            empty.sample(3, 0, 10)
