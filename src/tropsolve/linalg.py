@@ -9,7 +9,8 @@ values through :meth:`Semifield.payload` and stores rows of payloads,
 and wraps entries to :class:`Scalar` on the way out.  Additive payloads
 are exact rationals in canonical form: an ``int`` when integral, else a
 ``Fraction``.  ``A @ B`` and ``A <= B`` reduce payload rows through
-:func:`dot` and :func:`below`, as the semantics of :mod:`tropsolve.problems` do.
+:func:`dot` and :func:`below`; the semantics of :mod:`tropsolve.problems`
+take the products as :func:`dot` does, over batches of points.
 The star and the spectral radius cost O(n^3) carrier operations each (a
 Floyd-Warshall closure and Karp's cycle-mean recurrence); on max-plus and
 min-plus both run on Python ints, the matrix lifted once by :func:`lift`
@@ -57,6 +58,10 @@ class Matrix:
         m = cls.__new__(cls)
         m.sf, m.rows, m.cols, m.p = sf, len(p), len(p[0]), p
         return m
+
+    def __reduce__(self):
+        # rebuilt through the singleton semifield, under every pickle protocol
+        return Matrix._raw, (self.sf, self.p)
 
     @classmethod
     def from_rows(cls, sf: Semifield, rows) -> Matrix:
@@ -295,9 +300,10 @@ def lift(rows) -> tuple[list[list], int]:
 
 
 def unlift(v, scale: int):
-    """The canonical payload ``v / scale`` of a lifted payload ``v`` (a
-    multiplicative payload, which comes with ``scale`` 1, as it is)."""
-    return v if scale == 1 else canonical(Fraction(v, scale))
+    """The canonical payload ``v / scale`` of a lifted payload ``v`` (the
+    zero, and a multiplicative payload, which comes with ``scale`` 1, as
+    they are)."""
+    return v if scale == 1 or v is None else canonical(Fraction(v, scale))
 
 
 def dot(sf: Semifield, u, v):
@@ -441,7 +447,7 @@ def _plus_closure(a: Matrix):
                 cur = row_i[j]
                 if cur is None or (t > cur if maximizing else t < cur):
                     row_i[j] = t
-    return [[None if v is None else unlift(v, scale) for v in r] for r in d]
+    return [[unlift(v, scale) for v in r] for r in d]
 
 
 def _power_sum(a: Matrix) -> Matrix:

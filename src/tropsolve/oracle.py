@@ -1,9 +1,10 @@
 """Independent brute-force verifiers.
 
 Nothing in this module reuses a closed-form solver's algebra: the grid
-search evaluates objectives and constraints pointwise from the problem-kind
-registry, sampled members of a reported solution set are checked the same
-way, and the cycle-mean spectral radius enumerates simple cycles directly.
+search evaluates objectives and constraints over batches of points from the
+problem-kind registry, sampled members of a reported solution set are
+checked the same way, and the cycle-mean spectral radius enumerates simple
+cycles directly.
 Determinism contract: identical (instance, grid, seed) inputs produce
 identical results, and grid ties resolve to the lexicographically smallest
 point in carrier order.
@@ -22,9 +23,9 @@ from .errors import (
     GridOverflowError,
     ShapeError,
 )
-from .linalg import Matrix, lift, unlift
+from .linalg import Matrix, unlift
 from .problems import PROBLEM_KINDS
-from .semifield import Scalar, Semifield, canonical
+from .semifield import Scalar, Semifield
 from .solvers import INFEASIBLE, OptimumReport
 
 NO_FEASIBLE_POINT = "NO_FEASIBLE_POINT"
@@ -37,6 +38,9 @@ DEFAULT_WINDOW = 10
 
 #: Largest order whose simple cycles :func:`cycle_mean_radius` enumerates.
 MAX_CYCLE_ORDER = 8
+
+#: Grid points evaluated as one batch; bounds the memory of a walk.
+_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,14 @@ def _axis_count(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar,
     return count
 
 
-def _axis(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar) -> list:
-    """The payloads of one axis, from ``lo`` in steps of ``step``."""
-    count = _axis_count(sf, lo, hi, step)
+def _axis(sf: Semifield, lo, step, count: int) -> list:
+    """The ``count`` payloads of one axis from the payload ``lo`` in steps of
+    ``step``: ``lo + i step`` on an additive carrier, ``lo step^i`` on a
+    multiplicative one."""
     if sf.additive:
-        return [canonical(lo.v + step.v * i) for i in range(count)]
+        return [lo + step * i for i in range(count)]
     return list(itertools.accumulate(
-        itertools.repeat(step.v, count - 1), operator.mul, initial=lo.v))
+        itertools.repeat(step, count - 1), operator.mul, initial=lo))
 
 
 def _payloads(data: dict) -> list:
@@ -120,18 +125,22 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     and its first (lexicographically smallest) attaining point come back,
     or a not-found result when the grid holds no feasible point.
 
-    The data become payloads once, and each point is a payload tuple for
-    the kind's ``value`` and ``admits``; a point replaces the best only
-    when ``le_payload`` and ``eq_payload`` say it is strictly better.  On
-    max-plus and min-plus the walk runs on Python ints: the data and every
-    grid point are lifted together by :func:`linalg.lift`, ``x -> L x``
-    with ``L`` the lcm of their denominators, which is the power map
-    ``a -> a^L``.  For ``L > 0`` it is an automorphism of the semifield: it
-    commutes with the addition, the multiplication and the inverse and
-    keeps the order, so feasibility, every comparison and the tie rule are
-    those of the unscaled walk, and ``value(L d, L x)`` is ``L value(d,
-    x)``.  The value and ``argbest`` are divided by ``L`` once.
-    Multiplicative carriers walk their float payloads as given.
+    The data become payloads once, and the points are walked in product
+    order in batches of at most :data:`_BATCH`, each one transposed into
+    coordinate columns: the kind's ``admits`` runs once on the batch and
+    ``value`` once on the admitted points only, so a value that would raise
+    at a point that is not feasible is never evaluated.  A point replaces
+    the best only when ``le_payload`` and ``eq_payload`` say it is strictly
+    better.  On max-plus and min-plus the walk runs on Python ints: the data
+    and the start and step of each axis are lifted together by
+    :meth:`ProblemKind.payloads`, which keeps feasibility, every comparison
+    and the tie rule, and multiplies the value by the lcm ``L`` of their
+    denominators; the axes are built from the lifted starts and steps.
+    There the order is total, and the first extreme value of a batch is its
+    only candidate.  The value and ``argbest`` are divided by ``L`` once.
+    Multiplicative carriers walk their float payloads as given, and every
+    admitted value is a candidate, since ``REL_TOL`` makes ``le``
+    intransitive.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -146,38 +155,42 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         raise GridOverflowError(
             f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
             f"with --step or raise grid.cap in the document")
-    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
-
-    d, scale = pk.payloads(data, sf), 1
-    if sf.additive:
-        # one L for the axes and every input, lifted as one list of rows
-        roles = [len(pk.shapes[name]) for name in d]
-        blocks = [axes] + [v if role == 2 else [v] if role else [[v]]
-                           for v, role in zip(d.values(), roles)]
-        rows, scale = lift([r for block in blocks for r in block])
-        rows = map(tuple, rows)
-        axes, *lifted = [tuple(next(rows) for _ in block) for block in blocks]
-        d = {name: m if role == 2 else m[0] if role else m[0][0]
-             for name, m, role in zip(d, lifted, roles)}
-
+    d, starts, scale = pk.payloads(data, sf, [(lo.v, grid.step.v) for lo, _ in grid.intervals])
+    axes = [_axis(sf, lo, step, count) for (lo, step), count in zip(starts, counts)]
     value, admits, le, eq = pk.value, pk.admits, sf.le_payload, sf.eq_payload
     minimizing = pk.sense == "min"
+    extreme = min if minimizing == sf.maximizing else max
     best = best_point = None
     n_feasible = 0
-    for x in itertools.product(*axes):
-        if not admits(sf, d, x):
+    points = itertools.product(*axes)
+    while batch := list(itertools.islice(points, _BATCH)):
+        columns = tuple(map(list, zip(*batch)))
+        flags = admits(sf, d, columns)
+        if flags is False:
             continue
-        n_feasible += 1
-        val = value(sf, d, x)
-        if best_point is None or (
-                (le(val, best) if minimizing else le(best, val))
-                and not eq(val, best)):
-            best, best_point = val, x
+        if flags is not True:
+            batch = list(itertools.compress(batch, flags))
+            if not batch:
+                continue
+            columns = tuple([list(itertools.compress(c, flags)) for c in columns])
+        n_feasible += len(batch)
+        vals = value(sf, d, columns)
+        if vals.__class__ is not list:  # the same at every point: the first
+            candidates = ((0, vals),)
+        elif sf.additive:
+            top = extreme(vals)
+            candidates = ((vals.index(top), top),)
+        else:
+            candidates = enumerate(vals)
+        for i, val in candidates:
+            if best_point is None or (
+                    (le(val, best) if minimizing else le(best, val))
+                    and not eq(val, best)):
+                best, best_point = val, batch[i]
     if best_point is None:
         return GridResult(False, None, None, total, n_feasible)
     argbest = Matrix._raw(sf, tuple((unlift(u, scale),) for u in best_point))
-    return GridResult(True, sf.wrap(None if best is None else unlift(best, scale)),
-                      argbest, total, n_feasible)
+    return GridResult(True, sf.wrap(unlift(best, scale)), argbest, total, n_feasible)
 
 
 def cycle_mean_radius(a: Matrix) -> Scalar:
@@ -312,9 +325,13 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
     optimum exactly, (c) the grid optimum equals the reported one; an
     infeasible report passes when the grid holds no feasible point.  Without
     ``grid`` the one :func:`default_grid` gives is walked.  More samples than
-    the grid's point cap raise :class:`GridOverflowError`.
+    the grid's point cap raise :class:`GridOverflowError`, and a negative
+    count :class:`DegenerateInputError`.  The members are evaluated as one
+    batch by :meth:`ProblemKind.evaluate`.
     """
     pk = PROBLEM_KINDS[kind]
+    if samples < 0:
+        raise DegenerateInputError(f"sample count must not be negative, got {samples}")
     if grid is None:
         grid = default_grid(kind, data, report)
     if report.status == INFEASIBLE:
@@ -330,10 +347,10 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
             f"{samples} samples exceed the cap {grid.cap}; lower --samples "
             f"or raise grid.cap in the document")
     members = sample_solution_set(report.solution, samples, seed, window)
-    bad_feas = tuple(i for i, x in enumerate(members)
-                     if not pk.feasible(data, x))
-    bad_att = tuple(i for i, x in enumerate(members)
-                    if pk.objective(data, x) != report.optimum)
+    flags, values = pk.evaluate(data, members)
+    eq, optimum = report.optimum.sf.eq_payload, report.optimum.v
+    bad_feas = tuple(i for i, ok in enumerate(flags) if not ok)
+    bad_att = tuple(i for i, v in enumerate(values) if not eq(v, optimum))
 
     res = grid_search(kind, data, grid)
     minimizing = pk.sense == "min"

@@ -227,6 +227,10 @@ class Scalar:
 
     __slots__ = ("sf", "v")
 
+    def __reduce__(self):
+        # rebuilt through the singleton semifield, under every pickle protocol
+        return self.sf.wrap, (self.v,)
+
     @property
     def is_zero(self) -> bool:
         return self.v is None

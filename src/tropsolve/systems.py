@@ -69,10 +69,14 @@ def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | Non
     coordinates drawn in turn with exact rational parameters, so additive
     carriers stay rational; w is ``window`` or its inverse, at least one.
 
-    A ``cone`` is every positive multiple of its box: each random point is
-    scaled by ``one * w^(2t - 1)``, t drawn last.  There a coordinate the
-    box fixes draws no t, and the point box {d} is listed once, then scaled.
+    A coordinate the box fixes is its bound and draws no t.  A ``cone`` is
+    every positive multiple of its box: each random point is scaled by
+    ``one * w^(2t - 1)``, t drawn last, and the point box {d} is listed
+    once, then scaled.  A negative ``count`` raises
+    :class:`DegenerateInputError`.
     """
+    if count < 0:
+        raise DegenerateInputError(f"sample count must not be negative, got {count}")
     if _box_is_empty(lower, upper):
         raise DegenerateInputError("cannot sample an empty solution set")
     rng = random.Random(seed)
@@ -82,7 +86,7 @@ def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | Non
     lows, highs = ([None] * n if b is None else
                    [None if u is None else sf.wrap(u) for (u,) in b.p]
                    for b in (lower, upper))  # a zero entry bounds nothing
-    coords = [(lambda t, lo=lo: lo) if cone and lo is not None and lo == hi
+    coords = [(lambda t, lo=lo: lo) if lo is not None and lo == hi
               else _coordinate(lo, hi, w, sf) for lo, hi in zip(lows, highs)]
     scale = _coordinate(None, None, w, sf)
     point = cone and lower == upper

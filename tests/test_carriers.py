@@ -202,3 +202,17 @@ def test_pickled_and_copied_values_keep_their_semifield(sf):
         t = roundtrip(report)
         assert t == report and t.optimum * sf.one == report.optimum
         assert t.solution.anchor() == report.solution.anchor()
+
+
+@pytest.mark.parametrize("sf", (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES),
+                         ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_values_round_trip_under_every_pickle_protocol(sf, protocol):
+    # __slots__ classes need their own reduction below protocol 2
+    m = Matrix.from_rows(sf, [[sf.one.v, None], [sf.scalar("3/2").v, sf.one.v]])
+    for s in (sf.zero, sf.one, sf.scalar("3/2")):
+        t = pickle.loads(pickle.dumps(s, protocol=protocol))
+        assert t == s and t.sf is sf and type(t.v) is type(s.v)
+    assert pickle.loads(pickle.dumps(sf.zero, protocol=protocol)) is sf.zero
+    t = pickle.loads(pickle.dumps(m, protocol=protocol))
+    assert t.sf is sf and t.p == m.p and t.shape == m.shape

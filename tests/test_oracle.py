@@ -29,7 +29,7 @@ from tropsolve import (
     verify_report,
 )
 from tropsolve.gen import generate
-from tropsolve.oracle import _axis
+from tropsolve.oracle import _axis, _axis_count
 from tropsolve.problems import PROBLEM_KINDS
 from tropsolve.systems import BoxSolutionSet, EmptySolutionSet
 
@@ -232,13 +232,20 @@ def test_default_grid_margin():
 # grid_search walks additive carriers on int payloads scaled by the lcm of
 # the denominators; the walk on the payloads as given is its reference
 
+def _axes(grid):
+    """The payloads of the grid's axes, not lifted."""
+    sf, step = grid.step.sf, grid.step
+    return [_axis(sf, lo.v, step.v, _axis_count(sf, lo, hi, step))
+            for lo, hi in grid.intervals]
+
+
 def _reference_grid_search(kind, data, grid):
     """Exhaustive walk on the data and grid payloads as given, through the
     Matrix-level reference semantics."""
     objective, feasible = REFERENCE_OBJECTIVE[kind], REFERENCE_FEASIBLE[kind]
     minimizing = PROBLEM_KINDS[kind].sense == "min"
     sf = grid.step.sf
-    axes = [_axis(sf, lo, hi, grid.step) for lo, hi in grid.intervals]
+    axes = _axes(grid)
     best = argbest = None
     n_feasible = 0
     for combo in itertools.product(*axes):

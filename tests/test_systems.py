@@ -255,3 +255,27 @@ def test_sampling_empty_sets_raise(sf):
         assert empty.is_empty
         with pytest.raises(DegenerateInputError):
             empty.sample(3, 0, 10)
+
+
+@pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)
+def test_a_negative_sample_count_is_refused_and_zero_gives_none(sf):
+    sets = [sol for _, sol in _sets(sf)]
+    sets.append(EmptySolutionSet(NO_REGULAR_SOLUTION))
+    for sol in sets:
+        with pytest.raises(DegenerateInputError):
+            sol.sample(-1, 0, 10)
+        if not sol.is_empty:
+            assert sol.sample(0, 0, 10) == []
+
+
+@pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)
+def test_a_coordinate_the_box_fixes_is_its_bound(sf):
+    # no draw for it: lo * (lo- hi)^t would land an ulp off on the floats
+    fixed = sf.scalar(49 if sf.additive else 49.0).v
+    low = sf.scalar("3/7" if sf.additive else 0.1).v
+    lower, upper = vector(sf, [fixed, low]), vector(sf, [fixed, low])
+    assert all(x.p == lower.p for x in BoxSolutionSet(lower, upper).sample(6, 0, 10))
+    wide = vector(sf, [fixed, (_window(sf, 10) * sf.wrap(low)).v])
+    members = BoxSolutionSet(lower, wide).sample(12, 0, 10)
+    assert all(x.p[0] == (fixed,) for x in members)
+    assert len({x.p[1] for x in members}) > 2
