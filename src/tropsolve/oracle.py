@@ -107,6 +107,24 @@ def _axis(sf: Semifield, lo, step, count: int) -> list:
         itertools.repeat(step, count - 1), operator.mul, initial=lo))
 
 
+def _columns(axes: list[list]) -> list:
+    """The coordinate columns of the grid points in product order, as
+    iterators: column k is each value of axis k repeated once per point of
+    the later axes, and that run repeated once per point of the earlier
+    axes.  A run walked more than once is kept as a list; the rest stay
+    C-level iterators."""
+    counts = [len(axis) for axis in axes]
+    columns = []
+    for k, axis in enumerate(axes):
+        later, earlier = prod(counts[k + 1:]), prod(counts[:k])
+        run = axis if later == 1 else itertools.chain.from_iterable(
+            map(itertools.repeat, axis, itertools.repeat(later)))
+        if earlier > 1:
+            run = itertools.chain.from_iterable(itertools.repeat(list(run), earlier))
+        columns.append(iter(run))
+    return columns
+
+
 def _payloads(data: dict) -> list:
     """Every nonzero carrier payload in the instance data."""
     out = []
@@ -126,12 +144,12 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     or a not-found result when the grid holds no feasible point.
 
     The data become payloads once, and the points are walked in product
-    order in batches of at most :data:`_BATCH`, each one transposed into
-    coordinate columns: the kind's ``admits`` runs once on the batch and
-    ``value`` once on the admitted points only, so a value that would raise
-    at a point that is not feasible is never evaluated.  A point replaces
-    the best only when ``le_payload`` and ``eq_payload`` say it is strictly
-    better.  On max-plus and min-plus the walk runs on Python ints: the data
+    order in batches of at most :data:`_BATCH`, cut from coordinate columns
+    built straight from the axes (:func:`_columns`): the kind's ``admits``
+    runs once on the batch and ``value`` once on the admitted points only,
+    so a value that would raise at a point that is not feasible is never
+    evaluated.  A point replaces the best only when ``le_payload`` and
+    ``eq_payload`` say it is strictly better.  On max-plus and min-plus the walk runs on Python ints: the data
     and the start and step of each axis are lifted together by
     :meth:`ProblemKind.payloads`, which keeps feasibility, every comparison
     and the tie rule, and multiplies the value by the lcm ``L`` of their
@@ -162,18 +180,17 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     extreme = min if minimizing == sf.maximizing else max
     best = best_point = None
     n_feasible = 0
-    points = itertools.product(*axes)
-    while batch := list(itertools.islice(points, _BATCH)):
-        columns = tuple(map(list, zip(*batch)))
+    walks = _columns(axes)
+    for _ in range(0, total, _BATCH):
+        columns = tuple([list(itertools.islice(c, _BATCH)) for c in walks])
         flags = admits(sf, d, columns)
         if flags is False:
             continue
         if flags is not True:
-            batch = list(itertools.compress(batch, flags))
-            if not batch:
-                continue
             columns = tuple([list(itertools.compress(c, flags)) for c in columns])
-        n_feasible += len(batch)
+            if not columns[0]:
+                continue
+        n_feasible += len(columns[0])
         vals = value(sf, d, columns)
         if vals.__class__ is not list:  # the same at every point: the first
             candidates = ((0, vals),)
@@ -186,7 +203,7 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
             if best_point is None or (
                     (le(val, best) if minimizing else le(best, val))
                     and not eq(val, best)):
-                best, best_point = val, batch[i]
+                best, best_point = val, [c[i] for c in columns]
     if best_point is None:
         return GridResult(False, None, None, total, n_feasible)
     argbest = Matrix._raw(sf, tuple((unlift(u, scale),) for u in best_point))

@@ -22,19 +22,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DegenerateInputError, PreconditionError, ShapeError
+from .errors import DegenerateInputError, PreconditionError, ShapeError, TagMismatchError
 from .linalg import (
     Matrix,
+    dot,
     encode_matrix,
     encode_scalar,
     encode_vector,
     format_matrix,
     is_regular_vector,
     kleene_star,
+    lift,
+    unlift,
 )
-from .semifield import Scalar, Semifield
+from .semifield import Scalar, Semifield, checked_float
 
 NO_REGULAR_SOLUTION = "NO_REGULAR_SOLUTION"
 INFEASIBLE_BOX = "INFEASIBLE_BOX"
@@ -45,61 +47,101 @@ _SAMPLE_DENOM = 16  # denominator of the random interpolation parameters
 # ----------------------------------------------------------------------
 # sampling and text helpers shared by the solution types
 
-def _coordinate(lo: Scalar | None, hi: Scalar | None, w: Scalar, sf: Semifield):
-    """A random coordinate between two optional bounds, as a function of
-    ``t``, which draws its parameter in [0, 1]: within w^t of a lone bound,
-    and within w^(2t - 1) of one when there is none."""
-    if lo is not None and hi is not None:
-        ratio = lo.inv() * hi
-        return lambda t: lo * ratio ** t()
-    if hi is not None:
-        return lambda t: hi * (w ** t()).inv()
-    if lo is not None:
-        return lambda t: lo * w ** t()
-    return lambda t: sf.one * w ** (2 * t() - 1)
-
-
 def _box_is_empty(lower: Matrix | None, upper: Matrix | None) -> bool:
     return lower is not None and upper is not None and not lower <= upper
 
 
+def _draws(sf: Semifield, lo, hi, w) -> list:
+    """The payloads of a coordinate between the optional bounds ``lo`` and
+    ``hi`` for the draws k = 0 .. 16, with t = k / 16: ``lo (lo^-1 hi)^t``
+    between two bounds, within ``w^t`` of a lone bound, and within
+    ``w^(2t - 1)`` of one when there is none.  Additive bounds and ``w``
+    come lifted by ``L``, and the payloads go out lifted by ``16 L``, as
+    ints; multiplicative ones are the float operations of the Scalar rules,
+    in their order."""
+    ks = range(_SAMPLE_DENOM + 1)
+    if sf.additive:
+        if lo is not None and hi is not None:
+            return [_SAMPLE_DENOM * lo + k * (hi - lo) for k in ks]
+        if hi is not None:
+            return [_SAMPLE_DENOM * hi - k * w for k in ks]
+        if lo is not None:
+            return [_SAMPLE_DENOM * lo + k * w for k in ks]
+        return [(2 * k - _SAMPLE_DENOM) * w for k in ks]
+    ts = [k / _SAMPLE_DENOM for k in ks]  # exactly float(Fraction(k, 16))
+    if lo is not None and hi is not None:
+        ratio = checked_float(sf.inv_payload(lo) * hi)
+        return [lo * ratio ** t for t in ts]
+    if hi is not None:
+        return [hi * sf.inv_payload(w ** t) for t in ts]
+    if lo is not None:
+        return [lo * w ** t for t in ts]
+    return [1.0 * w ** (2 * t - 1) for t in ts]
+
+
 def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | None,
-                count: int, seed: int, window, cone: bool = False) -> list[Matrix]:
-    """Regular bounds of the box first, then random points between them, their
-    coordinates drawn in turn with exact rational parameters, so additive
-    carriers stay rational; w is ``window`` or its inverse, at least one.
+                count: int, seed: int, window, cone: bool = False,
+                generator: Matrix | None = None) -> list[Matrix]:
+    """Regular bounds of the box first, then random points between them, each
+    coordinate drawn in turn as k = ``randint(0, 16)``, the exact rational
+    parameter t = k / 16 of :func:`_draws`; w is ``window`` or its inverse,
+    at least one.  With a ``generator`` G every member u is mapped to G u.
 
     A coordinate the box fixes is its bound and draws no t.  A ``cone`` is
     every positive multiple of its box: each random point is scaled by
     ``one * w^(2t - 1)``, t drawn last, and the point box {d} is listed
-    once, then scaled.  A negative ``count`` raises
-    :class:`DegenerateInputError`.
+    once, then scaled.  On max-plus and min-plus the bounds, w and G are
+    lifted once by ``16 L`` (:func:`lift`), so the draws, the scaling and
+    the map (:func:`dot`) run on ints, and each output coordinate is divided
+    once, to its canonical payload.  A multiplicative member that leaves
+    the positive floats raises :class:`CarrierDomainError`, a negative
+    ``count`` :class:`DegenerateInputError`, and a bound of another
+    semifield or dimension :class:`TagMismatchError` or :class:`ShapeError`.
     """
     if count < 0:
         raise DegenerateInputError(f"sample count must not be negative, got {count}")
     if _box_is_empty(lower, upper):
         raise DegenerateInputError("cannot sample an empty solution set")
-    rng = random.Random(seed)
-    w = sf.scalar(window)
-    if not sf.one <= w:  # a window below one inverts to one above it
-        w = w.inv()
-    lows, highs = ([None] * n if b is None else
-                   [None if u is None else sf.wrap(u) for (u,) in b.p]
-                   for b in (lower, upper))  # a zero entry bounds nothing
-    coords = [(lambda t, lo=lo: lo) if lo is not None and lo == hi
-              else _coordinate(lo, hi, w, sf) for lo, hi in zip(lows, highs)]
-    scale = _coordinate(None, None, w, sf)
+    if any(b is not None and b.sf is not sf for b in (lower, upper)):
+        raise TagMismatchError(f"bounds of another semifield than {sf.tag}")
+    if any(b is not None and b.shape != (n, 1) for b in (lower, upper)):
+        raise ShapeError(f"the bounds must be column vectors of dim {n}")
+    w = sf.payload(window)
+    if not sf.le_payload(sf.one.v, w):  # a window below one inverts to one above it
+        w = sf.inv_payload(w)
     point = cone and lower == upper
     out = [b for b in ((lower,) if point else (lower, upper))
            if b is not None and is_regular_vector(b)][:count]
-
-    def t():
-        return Fraction(rng.randint(0, _SAMPLE_DENOM), _SAMPLE_DENOM)
-
-    while len(out) < count:
-        x = lower if point else Matrix._raw(sf, tuple([(c(t).v,) for c in coords]))
-        out.append(scale(t) * x if cone else x)
-    return out
+    lows, highs = ([None] * n if b is None else [u for (u,) in b.p]
+                   for b in (lower, upper))  # a zero entry bounds nothing
+    g = () if generator is None else generator.p
+    additive, unit = sf.additive, 1
+    if additive:
+        (lows, highs, (w,), *g), scale = lift([lows, highs, [w], *g])
+        unit, scale = _SAMPLE_DENOM, _SAMPLE_DENOM * scale
+        g = [[None if v is None else unit * v for v in r] for r in g]
+    coords = [(None if lo is None else unit * lo, None)
+              if point or lo is not None and sf.eq_payload(lo, hi)
+              else (None, _draws(sf, lo, hi, w)) for lo, hi in zip(lows, highs)]
+    scales = _draws(sf, None, None, w) if cone else None
+    randint, top = random.Random(seed).randint, _SAMPLE_DENOM
+    us = []  # the random points, lifted on the additive carriers
+    for _ in range(count - len(out)):
+        u = [v if draws is None else draws[randint(0, top)] for v, draws in coords]
+        if cone:
+            s = scales[randint(0, top)]
+            u = ([v if v is None else s + v for v in u] if additive
+                 else [v if v is None else s * v for v in u])
+        us.append(u)
+    if generator is not None:
+        us = [[unit * v for v in (lows if b is lower else highs)] for b in out] + us
+        us = [[dot(sf, row, u) for row in g] for u in us]
+        out = []
+    if additive:
+        us = [[unlift(v, scale) for v in u] for u in us]
+    else:
+        us = [[v if v is None else checked_float(v) for v in u] for u in us]
+    return out + [Matrix._raw(sf, tuple([(v,) for v in u])) for u in us]
 
 
 def _vector_line(label: str, v: Matrix | None) -> str:
@@ -139,6 +181,8 @@ class BoxSolutionSet:
 
     def sample(self, count: int, seed: int, window) -> list[Matrix]:
         bound = self.lower if self.lower is not None else self.upper
+        if bound is None:
+            raise DegenerateInputError("box has no bound to sample around")
         return _sample_box(bound.sf, bound.dim, self.lower, self.upper,
                            count, seed, window)
 
@@ -179,8 +223,8 @@ class GeneratedSolutionSet:
 
     def sample(self, count: int, seed: int, window) -> list[Matrix]:
         g = self.generator
-        return [g @ u for u in _sample_box(g.sf, g.cols, self.lower, self.upper,
-                                           count, seed, window)]
+        return _sample_box(g.sf, g.cols, self.lower, self.upper, count, seed, window,
+                           generator=g)
 
     def to_dict(self) -> dict:
         return {"type": "generated",
@@ -257,8 +301,8 @@ class ComponentwiseFamily:
 
     def sample(self, count: int, seed: int, window) -> list[Matrix]:
         lower, upper = self._box()
-        us = _sample_box(upper.sf, upper.rows, lower, upper, count, seed, window, cone=True)
-        return us if self.generator is None else [self.generator @ u for u in us]
+        return _sample_box(upper.sf, upper.rows, lower, upper, count, seed, window,
+                           cone=True, generator=self.generator)
 
     def to_dict(self) -> dict:
         return {"type": "componentwise",

@@ -29,7 +29,7 @@ from tropsolve import (
     verify_report,
 )
 from tropsolve.gen import generate
-from tropsolve.oracle import _axis, _axis_count
+from tropsolve.oracle import _BATCH, _axis, _axis_count
 from tropsolve.problems import PROBLEM_KINDS
 from tropsolve.systems import BoxSolutionSet, EmptySolutionSet
 
@@ -301,6 +301,24 @@ def test_grid_search_equals_reference_walk(kind, sf):
                 _assert_equals_reference(kind, moved_data, moved_grid)
                 _assert_equals_reference(kind, data, moved_grid)
     assert found == 3
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
+def test_a_three_axis_grid_past_one_batch_equals_the_reference_walk(kind, sf):
+    # 19 x 17 x 15 points around the anchor: more than one batch, and no
+    # axis count divides the batch size, so batches cut runs of every column
+    data = generate(kind, 3, seed=5, sf=sf)
+    report = solve(kind, **data)
+    center = ([0] * 3 if report.solution is None
+              else [report.solution.anchor()[i].v for i in range(3)])
+    step = F(1, 12)
+    grid = GridSpec(tuple((sf.scalar(c - m * step), sf.scalar(c + m * step))
+                          for c, m in zip(center, (9, 8, 7))), sf.scalar(step))
+    counts = [len(axis) for axis in _axes(grid)]
+    assert counts == [19, 17, 15] and math.prod(counts) > _BATCH
+    assert all(_BATCH % c for c in counts)
+    _assert_equals_reference(kind, data, grid)
 
 
 @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.tag)

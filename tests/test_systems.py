@@ -1,5 +1,11 @@
 """The two basic inequalities, principal solutions and star-generated sets,
-and the sampling contract every solution type keeps."""
+and the sampling contract every solution type keeps.
+
+The sampler draws and maps members on payloads, lifted to ints on max-plus
+and min-plus; its reference here is the Scalar-level sampler it replaced,
+each coordinate drawn through Scalar operations and a Fraction power and
+each generator map a Matrix product.  The two must return the same members,
+payload for payload and type for type."""
 
 import random
 from dataclasses import replace
@@ -13,6 +19,7 @@ from tropsolve import (
     MIN_PLUS,
     MIN_TIMES,
     BoxSolutionSet,
+    CarrierDomainError,
     ComponentwiseFamily,
     DegenerateInputError,
     EmptySolutionSet,
@@ -21,6 +28,8 @@ from tropsolve import (
     NO_REGULAR_SOLUTION,
     PreconditionError,
     RaySolution,
+    ShapeError,
+    TagMismatchError,
     is_regular_vector,
     principal_solution_leq,
     sample_solution_set,
@@ -28,8 +37,11 @@ from tropsolve import (
     solve_sub_fixpoint,
     tr_functional,
     vector,
+    verify_report,
 )
 from tropsolve.gen import generate
+from tropsolve.oracle import GridSpec
+from tropsolve.problems import PROBLEM_KINDS
 
 
 def mp(rows):
@@ -279,3 +291,144 @@ def test_a_coordinate_the_box_fixes_is_its_bound(sf):
     members = BoxSolutionSet(lower, wide).sample(12, 0, 10)
     assert all(x.p[0] == (fixed,) for x in members)
     assert len({x.p[1] for x in members}) > 2
+
+
+def test_a_box_without_bounds_cannot_be_sampled():
+    box = BoxSolutionSet(None, None)
+    for sample in (box.anchor, lambda: box.sample(2, 0, 10)):
+        with pytest.raises(DegenerateInputError, match="box has no"):
+            sample()
+
+
+def test_a_generated_set_with_bounds_that_do_not_fit_cannot_be_sampled():
+    g = Matrix.identity(MAX_PLUS, 2)
+    for lower in (vector(MIN_PLUS, [0, 0]), vector(MIN_PLUS, [0, None])):
+        with pytest.raises(TagMismatchError):
+            GeneratedSolutionSet(g, lower, None).sample(3, 0, 10)
+    with pytest.raises(ShapeError):
+        GeneratedSolutionSet(g, vector(MAX_PLUS, [0, 0, 0]), None).sample(3, 0, 10)
+
+
+# ----------------------------------------------------------------------
+# the sampler against the Scalar-level reference
+
+_DENOM = 16
+
+
+def _reference_coordinate(lo, hi, w, sf):
+    if lo is not None and hi is not None:
+        ratio = lo.inv() * hi
+        return lambda t: lo * ratio ** t()
+    if hi is not None:
+        return lambda t: hi * (w ** t()).inv()
+    if lo is not None:
+        return lambda t: lo * w ** t()
+    return lambda t: sf.one * w ** (2 * t() - 1)
+
+
+def _reference_box(sf, n, lower, upper, count, seed, window, cone=False):
+    rng = random.Random(seed)
+    w = sf.scalar(window)
+    if not sf.one <= w:
+        w = w.inv()
+    lows, highs = ([None] * n if b is None else
+                   [None if u is None else sf.wrap(u) for (u,) in b.p]
+                   for b in (lower, upper))
+    coords = [(lambda t, lo=lo: lo) if lo is not None and lo == hi
+              else _reference_coordinate(lo, hi, w, sf) for lo, hi in zip(lows, highs)]
+    scale = _reference_coordinate(None, None, w, sf)
+    point = cone and lower == upper
+    out = [b for b in ((lower,) if point else (lower, upper))
+           if b is not None and is_regular_vector(b)][:count]
+
+    def t():
+        return Fraction(rng.randint(0, _DENOM), _DENOM)
+
+    while len(out) < count:
+        x = lower if point else Matrix(sf, [[c(t)] for c in coords])
+        out.append(scale(t) * x if cone else x)
+    return out
+
+
+def reference_sample(sol, count, seed, window):
+    """The members of ``sol.sample(count, seed, window)``, drawn on Scalars
+    and mapped by Matrix products."""
+    if sol.is_empty:
+        raise DegenerateInputError("cannot sample an empty solution set")
+    if isinstance(sol, BoxSolutionSet):
+        bound = sol.lower if sol.lower is not None else sol.upper
+        return _reference_box(bound.sf, bound.dim, sol.lower, sol.upper,
+                              count, seed, window)
+    if isinstance(sol, GeneratedSolutionSet):
+        g = sol.generator
+        return [g @ u for u in _reference_box(g.sf, g.cols, sol.lower, sol.upper,
+                                              count, seed, window)]
+    if isinstance(sol, RaySolution):
+        d = sol.direction
+        return _reference_box(d.sf, d.rows, d, d, count, seed, window, cone=True)
+    lower, upper = sol._box()
+    us = _reference_box(upper.sf, upper.rows, lower, upper, count, seed, window,
+                        cone=True)
+    return us if sol.generator is None else [sol.generator @ u for u in us]
+
+
+def _exact(members):
+    """Every payload of the members with its type: floats compare bit for bit."""
+    return [[(v, type(v)) for (v,) in x.p] for x in members]
+
+
+def _every_type(sf):
+    """(label, solution) of all five types: the contract's sets at n = 3,
+    the solution of every kind at n = 1 and 2, the families without their
+    generator, and an empty set."""
+    out = list(_sets(sf))
+    for kind in sorted(PROBLEM_KINDS):
+        for n in (1, 2):
+            sol = solve(kind, **generate(kind, n, 7 + n, sf)).solution
+            if sol is not None:
+                out.append((f"{kind} n={n}", sol))
+    out += [(label + " without G", replace(sol, generator=None)) for label, sol in out
+            if isinstance(sol, ComponentwiseFamily) and sol.generator is not None]
+    out.append(("empty", EmptySolutionSet(NO_REGULAR_SOLUTION)))
+    assert {type(sol) for _, sol in out} == {
+        BoxSolutionSet, GeneratedSolutionSet, RaySolution, ComponentwiseFamily,
+        EmptySolutionSet}
+    return out
+
+
+@pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)
+def test_sampling_equals_the_scalar_level_reference(sf):
+    compared = 0
+    for label, sol in _every_type(sf):
+        regular_bounds = len(_firsts(sol)) if not sol.is_empty else 0
+        for seed, window in enumerate((10, Fraction(1, 10), Fraction(7, 3), 2)):
+            for count in sorted({0, max(regular_bounds - 1, 0), regular_bounds, 12}):
+                try:
+                    expected = reference_sample(sol, count, seed, window)
+                except DegenerateInputError:
+                    with pytest.raises(DegenerateInputError):
+                        sol.sample(count, seed, window)
+                    continue
+                assert _exact(sol.sample(count, seed, window)) == _exact(expected), (
+                    label, seed, window, count)
+                compared += 1
+    assert compared > 100
+
+
+@pytest.mark.parametrize("sf", [MAX_TIMES, MIN_TIMES], ids=lambda sf: sf.tag)
+def test_a_multiplicative_member_out_of_the_floats_is_refused(sf):
+    # the scale of a ray spans w^-1 .. w: 1e200 times 1e200 is inf on
+    # max-times, and on min-times, where w is 1e-200, 0.0
+    big = 1e200 if sf.maximizing else 1e-200
+    ray = RaySolution(Matrix.from_rows(sf, [[big], [1.0]]))
+    with pytest.raises(CarrierDomainError, match="inf" if sf.maximizing else "0.0"):
+        ray.sample(6, 0, 1e200)
+    assert _exact(ray.sample(6, 0, 1e100)) == _exact(reference_sample(ray, 6, 0, 1e100))
+
+
+def test_verify_names_the_overflowed_member_not_its_inverse():
+    a = Matrix.from_rows(MAX_TIMES, [[1.0, 1e100], [1e-100, 1.0]])
+    report = solve("rayleigh", A=a)
+    grid = GridSpec(((MAX_TIMES.one, MAX_TIMES.scalar(2.0)),) * 2, MAX_TIMES.scalar(2.0))
+    with pytest.raises(CarrierDomainError, match="inf"):
+        verify_report("rayleigh", {"A": a}, report, grid=grid, window=1e300)
