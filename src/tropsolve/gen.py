@@ -18,7 +18,7 @@ import random
 
 from .linalg import Matrix, has_cycle, spectral_radius
 from .problems import PROBLEM_KINDS
-from .semifield import MAX_PLUS, MIN_PLUS, Scalar, Semifield
+from .semifield import MAX_PLUS, MIN_PLUS, Semifield
 
 LO = -5
 HI = 5
@@ -185,16 +185,13 @@ BUILDERS = {
 }
 
 
-def _exp_map(data: dict, target: Semifield) -> dict:
-    def remap(value):
-        if isinstance(value, Matrix):
-            return Matrix.from_rows(target, [
-                [None if v is None else 2.0 ** int(v) for v in row]
-                for row in value.to_payloads()])
-        if isinstance(value, Scalar):
-            return target.scalar(None if value.v is None else 2.0 ** int(value.v))
-        return value
-    return {k: remap(v) for k, v in data.items()}
+def _exp_map(data: dict, shapes: dict[str, str], target: Semifield) -> dict:
+    """``v -> 2^v`` on every entry, each input rebuilt by its shape."""
+    def exp(v):
+        return None if v is None else 2.0 ** int(v)
+    return {name: Matrix.from_rows(target, [[exp(v) for v in row] for row in value.p])
+            if shapes[name] else target.scalar(exp(value.v))
+            for name, value in data.items()}
 
 
 def generate(kind: str, n: int, seed: int, sf: Semifield = MAX_PLUS) -> dict:
@@ -207,5 +204,5 @@ def generate(kind: str, n: int, seed: int, sf: Semifield = MAX_PLUS) -> dict:
     data = (BUILDERS[kind](draw, n) if kind in BUILDERS
             else _build_bordered(draw, n, PROBLEM_KINDS[kind].shapes))
     if not sf.additive:
-        data = _exp_map(data, sf)
+        data = _exp_map(data, PROBLEM_KINDS[kind].shapes, sf)
     return data

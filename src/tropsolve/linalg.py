@@ -284,16 +284,21 @@ def has_cycle(a: Matrix) -> bool:
     return len(ready) < a.rows
 
 
-def lift(rows) -> tuple[list[list], int]:
-    """Exact payload rows on Python ints: ``(rows scaled by L, L)``.
+def lift(sf: Semifield, rows) -> tuple[list[list], int]:
+    """Payload rows as a computation on ``sf`` takes them: ``(rows, L)``,
+    the rows as lists.
 
-    ``L`` is the lcm of the denominators of the nonzero payloads, and
-    ``None`` (the zero) stays ``None``.  On max-plus and min-plus the map
-    ``x -> L x`` is the power map ``a -> a^L``; for ``L > 0`` it is an
-    automorphism of the semifield: it commutes with the addition, the
-    multiplication and the inverse and keeps the order, so a computation
-    on the lifted rows is the original one scaled by ``L``.
+    On max-plus and min-plus they are lifted to exact Python ints, scaled
+    by ``L``, the lcm of the denominators of the nonzero payloads; ``None``
+    (the zero) stays ``None``.  The map ``x -> L x`` is the power map ``a ->
+    a^L``; for ``L > 0`` it is an automorphism of the semifield: it
+    commutes with the addition, the multiplication and the inverse and
+    keeps the order, so a computation on the lifted rows is the original
+    one scaled by ``L``.  On max-times and min-times the rows are used as
+    they are, with ``L = 1``.
     """
+    if not sf.additive:
+        return [list(r) for r in rows], 1
     scale = lcm(*(v.denominator for r in rows for v in r if v is not None))
     return [[None if v is None else v.numerator * (scale // v.denominator)
              for v in r] for r in rows], scale
@@ -328,13 +333,6 @@ def below(sf: Semifield, u, v) -> bool:
     return all(map(sf.le_payload, u, v))
 
 
-def _raw_rows(a: Matrix):
-    """``(payload rows, L)`` as lists: additive rows lifted to ints by
-    :func:`lift`, multiplicative ones as they are with ``L = 1``; the one
-    stays ``sf.one.v`` either way."""
-    return lift(a.p) if a.sf.additive else (a.to_payloads(), 1)
-
-
 def spectral_radius(a: Matrix) -> Scalar:
     """Largest eigenvalue: the extremal cycle mean of the digraph of A.
 
@@ -356,7 +354,7 @@ def spectral_radius(a: Matrix) -> Scalar:
     a._require_square("spectral radius")
     sf, n = a.sf, a.rows
     additive, maximizing, one = sf.additive, sf.maximizing, sf.one.v
-    d, scale = _raw_rows(a)
+    d, scale = lift(sf, a.p)
     out_edges = [[(j, v) for j, v in enumerate(r) if v is not None] for r in d]
     walks = [[one] * n]
     for _ in range(n):
@@ -431,7 +429,7 @@ def _plus_closure(a: Matrix):
     """
     sf = a.sf
     additive, maximizing, one = sf.additive, sf.maximizing, sf.one.v
-    d, scale = _raw_rows(a)
+    d, scale = lift(sf, a.p)
     for k, row_k in enumerate(d):
         pivot = row_k[k]
         if not sf.le_payload(pivot, one):

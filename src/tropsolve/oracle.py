@@ -22,6 +22,7 @@ from .errors import (
     DegenerateInputError,
     GridOverflowError,
     ShapeError,
+    TagMismatchError,
 )
 from .linalg import Matrix, unlift
 from .problems import PROBLEM_KINDS
@@ -125,17 +126,6 @@ def _columns(axes: list[list]) -> list:
     return columns
 
 
-def _payloads(data: dict) -> list:
-    """Every nonzero carrier payload in the instance data."""
-    out = []
-    for value in data.values():
-        if isinstance(value, Matrix):
-            out.extend(v for r in value.p for v in r if v is not None)
-        elif isinstance(value, Scalar) and value.v is not None:
-            out.append(value.v)
-    return out
-
-
 def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     """Exhaustive search of the kind's objective over a finite grid.
 
@@ -158,7 +148,8 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     only candidate.  The value and ``argbest`` are divided by ``L`` once.
     Multiplicative carriers walk their float payloads as given, and every
     admitted value is a candidate, since ``REL_TOL`` makes ``le``
-    intransitive.
+    intransitive.  A bound of another semifield than the step raises
+    :class:`TagMismatchError` before any axis is counted.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -166,6 +157,8 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         raise ShapeError(
             f"grid has {len(grid.intervals)} intervals for dimension {n}")
     sf = grid.step.sf
+    if any(b.sf is not sf for interval in grid.intervals for b in interval):
+        raise TagMismatchError(f"grid bounds of another semifield than the step's {sf.tag}")
     counts = [_axis_count(sf, lo, hi, grid.step, grid.cap)
               for lo, hi in grid.intervals]
     total = prod(counts)
@@ -301,7 +294,8 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
     carrier values in the data, widened by one carrier unit on each side,
     and ``margin`` is not used.  Additive carriers only.
     """
-    n = PROBLEM_KINDS[kind].dim(data)
+    pk = PROBLEM_KINDS[kind]
+    n = pk.dim(data)
     anchor = None if report.status == INFEASIBLE else anchor_member(report)
     sf = next(iter(data.values())).sf if anchor is None else anchor.sf
     if not sf.additive:
@@ -310,7 +304,8 @@ def default_grid(kind: str, data: dict, report: OptimumReport,
     if step is None:
         step = default_step(n)
     if anchor is None:
-        payloads = _payloads(data) or [Fraction(0)]
+        payloads = [v for block in pk.rows(data).values() for r in block
+                    for v in r if v is not None] or [Fraction(0)]
         lo, hi = sf.scalar(min(payloads) - 1), sf.scalar(max(payloads) + 1)
         return GridSpec(((lo, hi),) * n, sf.scalar(step), cap)
     if margin is None:

@@ -103,33 +103,34 @@ class ProblemKind:
                                      f"fit {letter} = {bound} (set by {source})")
         return sizes["n"][0]
 
+    def rows(self, data: dict) -> dict[str, tuple]:
+        """The payload rows of each input in ``data`` by its declared role: a
+        matrix as its rows, a vector as its column, a scalar as one 1x1
+        row."""
+        shapes = self.shapes
+        return {name: value.p if len(shapes[name]) == 2
+                else (_column(value),) if shapes[name] else ((value.v,),)
+                for name, value in data.items()}
+
     def payloads(self, data: dict, sf: Semifield, rows=()) -> tuple[dict, tuple, int]:
         """``(d, rows, L)``: the inputs in ``data`` as ``value`` and
         ``admits`` take them (a matrix as its payload rows, a vector as a
         payload tuple, a scalar as its payload) and the payload ``rows``
-        (the start and step of each grid axis, or points), as tuples.  On max-plus and min-plus both
-        are lifted together to Python ints by :func:`linalg.lift`, ``x -> L
-        x`` with ``L`` the lcm of their denominators: the power map ``a ->
-        a^L``, an automorphism of the semifield for ``L > 0``, so the
-        semantics of the lifted payloads are ``L`` times the original ones
-        and keep every comparison and tie.  ``L`` is 1 on the other
-        carriers.  Data of another semifield raises
-        :class:`TagMismatchError`."""
+        (the start and step of each grid axis, or points), as tuples, all
+        through one :func:`linalg.lift`: on max-plus and min-plus lifted to
+        ints by the lcm ``L`` of their denominators, which scales the
+        semantics by ``L`` and keeps every comparison and tie; as they are,
+        with ``L = 1``, on the other carriers.  Data of another semifield
+        raises :class:`TagMismatchError`."""
         if any(value.sf is not sf for value in data.values()):
             raise TagMismatchError(f"{self.kind} data of another semifield than {sf.tag}")
-        roles = [len(self.shapes[name]) for name in data]  # the number of letters
-        unwrap = (lambda s: s.v, _column, lambda m: m.p)
-        d = {name: unwrap[role](value) for (name, value), role in zip(data.items(), roles)}
-        if not sf.additive:
-            return d, tuple(rows), 1
-        # one L for the rows and every input, lifted as one list of rows
-        blocks = [rows] + [v if role == 2 else [v] if role else [[v]]
-                           for v, role in zip(d.values(), roles)]
-        lifted, scale = lift([r for block in blocks for r in block])
+        blocks = [rows, *self.rows(data).values()]
+        lifted, scale = lift(sf, [r for block in blocks for r in block])
         lifted = map(tuple, lifted)
         rows, *inputs = [tuple(next(lifted) for _ in block) for block in blocks]
-        return ({name: m if role == 2 else m[0] if role else m[0][0]
-                 for name, m, role in zip(d, inputs, roles)}, rows, scale)
+        shapes = self.shapes
+        return ({name: m if len(shapes[name]) == 2 else m[0] if shapes[name] else m[0][0]
+                 for name, m in zip(data, inputs)}, rows, scale)
 
     def evaluate(self, data: dict, xs: Sequence[Matrix]) -> tuple[list[bool], list]:
         """``(flags, values)`` at the members ``xs``: whether each is

@@ -95,17 +95,20 @@ def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | Non
     the map (:func:`dot`) run on ints, and each output coordinate is divided
     once, to its canonical payload.  A multiplicative member that leaves
     the positive floats raises :class:`CarrierDomainError`, a negative
-    ``count`` :class:`DegenerateInputError`, and a bound of another
-    semifield or dimension :class:`TagMismatchError` or :class:`ShapeError`.
+    ``count`` :class:`DegenerateInputError`, and a bound or a generator of
+    another semifield or dimension :class:`TagMismatchError` or
+    :class:`ShapeError`.
     """
     if count < 0:
         raise DegenerateInputError(f"sample count must not be negative, got {count}")
     if _box_is_empty(lower, upper):
         raise DegenerateInputError("cannot sample an empty solution set")
-    if any(b is not None and b.sf is not sf for b in (lower, upper)):
-        raise TagMismatchError(f"bounds of another semifield than {sf.tag}")
-    if any(b is not None and b.shape != (n, 1) for b in (lower, upper)):
-        raise ShapeError(f"the bounds must be column vectors of dim {n}")
+    if any(b is not None and b.sf is not sf for b in (lower, upper, generator)):
+        raise TagMismatchError(f"bounds or a generator of another semifield than {sf.tag}")
+    if (any(b is not None and b.shape != (n, 1) for b in (lower, upper))
+            or generator is not None and generator.cols != n):
+        raise ShapeError(f"the bounds must be column vectors of dim {n}, "
+                         f"and a generator must have {n} columns")
     w = sf.payload(window)
     if not sf.le_payload(sf.one.v, w):  # a window below one inverts to one above it
         w = sf.inv_payload(w)
@@ -115,11 +118,11 @@ def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | Non
     lows, highs = ([None] * n if b is None else [u for (u,) in b.p]
                    for b in (lower, upper))  # a zero entry bounds nothing
     g = () if generator is None else generator.p
-    additive, unit = sf.additive, 1
-    if additive:
-        (lows, highs, (w,), *g), scale = lift([lows, highs, [w], *g])
-        unit, scale = _SAMPLE_DENOM, _SAMPLE_DENOM * scale
-        g = [[None if v is None else unit * v for v in r] for r in g]
+    additive = sf.additive
+    unit = _SAMPLE_DENOM if additive else 1
+    (lows, highs, (w,), *g), scale = lift(sf, [lows, highs, [w], *g])
+    scale *= unit
+    g = [[None if v is None else unit * v for v in r] for r in g]
     coords = [(None if lo is None else unit * lo, None)
               if point or lo is not None and sf.eq_payload(lo, hi)
               else (None, _draws(sf, lo, hi, w)) for lo, hi in zip(lows, highs)]

@@ -82,6 +82,16 @@ def test_grid_search_rejects_data_of_another_semifield():
         grid_search("cheb_box", data, _grid1(0, 1, F(1, 2)))
 
 
+@pytest.mark.parametrize("bounds", [(MIN_PLUS.scalar(-2), MIN_PLUS.scalar(2)),
+                                    (MAX_TIMES.scalar(0.25), MAX_TIMES.scalar(4.0)),
+                                    (MAX_PLUS.scalar(-2), MIN_PLUS.scalar(10 ** 9))])
+def test_grid_bounds_of_another_semifield_than_the_step_are_refused(bounds):
+    # refused before any axis is counted: the last grid would overflow the cap
+    grid = GridSpec((bounds,) * 2, MAX_PLUS.scalar(1))
+    with pytest.raises(TagMismatchError, match="grid bounds"):
+        grid_search("rayleigh", {"A": Matrix.identity(MAX_PLUS, 2)}, grid)
+
+
 def test_multiplicative_axis_is_counted_before_it_is_built():
     # about 1.4e10 points from 1 to 1e6 in steps of 1 + 1e-9
     data = generate("rayleigh", 1, seed=5, sf=MAX_TIMES)

@@ -309,6 +309,19 @@ def test_a_generated_set_with_bounds_that_do_not_fit_cannot_be_sampled():
         GeneratedSolutionSet(g, vector(MAX_PLUS, [0, 0, 0]), None).sample(3, 0, 10)
 
 
+@pytest.mark.parametrize("generator, error", [
+    (Matrix.identity(MAX_PLUS, 3), ShapeError),  # 3 columns for a 2-dim box
+    (Matrix.identity(MIN_PLUS, 2), TagMismatchError),
+])
+def test_a_family_with_a_generator_that_does_not_fit_cannot_be_sampled(generator, error):
+    family = ComponentwiseFamily(0, MAX_PLUS.scalar(0), (None, MAX_PLUS.scalar(1)), 0,
+                                 (0,), generator=generator)
+    with pytest.raises(error):
+        family.anchor()
+    with pytest.raises(error):
+        family.sample(3, 0, 10)
+
+
 # ----------------------------------------------------------------------
 # the sampler against the Scalar-level reference
 
