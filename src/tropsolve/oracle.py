@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, inf, lcm, log, log1p, prod
+from typing import Callable
 
 from .errors import (
     DegenerateInputError,
@@ -25,7 +26,7 @@ from .errors import (
     TagMismatchError,
 )
 from .linalg import Matrix, unlift
-from .problems import PROBLEM_KINDS
+from .problems import PROBLEM_KINDS, LaneFormat, Lanes
 from .semifield import Scalar, Semifield
 from .solvers import INFEASIBLE, OptimumReport
 
@@ -108,22 +109,50 @@ def _axis(sf: Semifield, lo, step, count: int) -> list:
         itertools.repeat(step, count - 1), operator.mul, initial=lo))
 
 
-def _columns(axes: list[list]) -> list:
-    """The coordinate columns of the grid points in product order, as
-    iterators: column k is each value of axis k repeated once per point of
-    the later axes, and that run repeated once per point of the earlier
-    axes.  A run walked more than once is kept as a list; the rest stay
-    C-level iterators."""
-    counts = [len(axis) for axis in axes]
-    columns = []
-    for k, axis in enumerate(axes):
-        later, earlier = prod(counts[k + 1:]), prod(counts[:k])
-        run = axis if later == 1 else itertools.chain.from_iterable(
-            map(itertools.repeat, axis, itertools.repeat(later)))
-        if earlier > 1:
-            run = itertools.chain.from_iterable(itertools.repeat(list(run), earlier))
-        columns.append(iter(run))
-    return columns
+def _column(axis: list, later: int, expand) -> Callable[[int, int], object]:
+    """The coordinate column of one axis over the walk in product order, as
+    a function of ``(start, stop)`` that gives the points ``start`` to
+    ``stop - 1``: each payload of the axis repeated once per point of the
+    later axes (``later``), over and over.  ``expand(values, k)`` is the
+    sequence of each of ``values`` repeated ``k`` times (lane bytes, or a
+    list), and such sequences put together with ``+``.  A period of at
+    most :data:`_BATCH` points is expanded once and sliced; a longer one
+    is expanded run by run as a batch meets it, so neither a column nor a
+    long axis is held expanded."""
+    count = len(axis)
+    period = count * later
+    if period <= _BATCH:
+        whole = expand(axis, later)
+        width = len(whole) // period
+
+        def cut(start, stop):
+            begin = start % period
+            end = begin + stop - start
+            return (whole * (end // period + 1))[begin * width:end * width]
+        return cut
+
+    def cut(start, stop):
+        first, skip = divmod(start, later)
+        last, keep = divmod(stop, later)
+        head = axis[first % count:first % count + 1]
+        if first == last:
+            return expand(head, stop - start)
+        # fewer runs in between than the axis has points, since the period
+        # exceeds a batch: they wrap around the axis at most once
+        runs, j = last - first - 1, (first + 1) % count
+        middle = axis[j:j + runs]
+        middle += axis[:runs - len(middle)]
+        return (expand(head, later - skip) + expand(middle, later)
+                + expand(axis[last % count:last % count + 1], keep))
+    return cut
+
+
+def _repeated(values: list, k: int) -> list:
+    """Each of ``values`` repeated ``k`` times."""
+    if k == 1:
+        return values
+    return list(itertools.chain.from_iterable(
+        map(itertools.repeat, values, itertools.repeat(k))))
 
 
 def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
@@ -134,21 +163,28 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     or a not-found result when the grid holds no feasible point.
 
     The data become payloads once, and the points are walked in product
-    order in batches of at most :data:`_BATCH`, cut from coordinate columns
-    built straight from the axes (:func:`_columns`): the kind's ``admits``
-    runs once on the batch and ``value`` once on the admitted points only,
-    so a value that would raise at a point that is not feasible is never
-    evaluated.  A point replaces the best only when ``le_payload`` and
-    ``eq_payload`` say it is strictly better.  On max-plus and min-plus the walk runs on Python ints: the data
-    and the start and step of each axis are lifted together by
+    order in batches of at most :data:`_BATCH`, each coordinate column of a
+    batch cut straight from its axis (:func:`_column`): the kind's ``admits``
+    runs once on the batch, and ``value`` once more only when it admits a
+    point, so a value that would raise at a point that is not feasible is
+    never evaluated.  A point replaces the best only when ``le_payload``
+    and ``eq_payload`` say it is strictly better, so among equal values
+    the first point wins.
+
+    On max-plus and min-plus the walk runs on ints: the data and the start
+    and step of each axis are lifted together by
     :meth:`ProblemKind.payloads`, which keeps feasibility, every comparison
     and the tie rule, and multiplies the value by the lcm ``L`` of their
-    denominators; the axes are built from the lifted starts and steps.
-    There the order is total, and the first extreme value of a batch is its
-    only candidate.  The value and ``argbest`` are divided by ``L`` once.
-    Multiplicative carriers walk their float payloads as given, and every
-    admitted value is a candidate, since ``REL_TOL`` makes ``le``
-    intransitive.  A bound of another semifield than the step raises
+    denominators.  A batch coordinate is one int with a lane per point
+    (:class:`problems.LaneFormat`), joined from the bytes of each axis
+    value's lane; its flags are guard bits, counted by ``bit_count``.
+    There the order is total, so a batch's only candidate is its first
+    admitted lane with the extreme value, and the point is decoded from
+    its index by the mixed radix of the axis counts.  The value and
+    ``argbest`` are divided by ``L`` once.  Multiplicative carriers walk
+    lists of their float payloads as given, and every admitted value is a
+    candidate, since ``REL_TOL`` makes ``le`` intransitive.  Bounds of
+    another semifield than the step, and data of another semifield, raise
     :class:`TagMismatchError` before any axis is counted.
     """
     pk = PROBLEM_KINDS[kind]
@@ -159,6 +195,8 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     sf = grid.step.sf
     if any(b.sf is not sf for interval in grid.intervals for b in interval):
         raise TagMismatchError(f"grid bounds of another semifield than the step's {sf.tag}")
+    d, starts, scale, bound = pk.payloads(
+        data, sf, [(lo.v, grid.step.v) for lo, _ in grid.intervals])
     counts = [_axis_count(sf, lo, hi, grid.step, grid.cap)
               for lo, hi in grid.intervals]
     total = prod(counts)
@@ -166,40 +204,61 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
         raise GridOverflowError(
             f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
             f"with --step or raise grid.cap in the document")
-    d, starts, scale = pk.payloads(data, sf, [(lo.v, grid.step.v) for lo, _ in grid.intervals])
     axes = [_axis(sf, lo, step, count) for (lo, step), count in zip(starts, counts)]
+    laters = [prod(counts[k + 1:]) for k in range(n)]
     value, admits, le, eq = pk.value, pk.admits, sf.le_payload, sf.eq_payload
     minimizing = pk.sense == "min"
-    extreme = min if minimizing == sf.maximizing else max
-    best = best_point = None
+    largest = minimizing != sf.maximizing  # the payload extreme that is best
+    if sf.additive:
+        bound = max(bound, *(abs(v) for axis in axes for v in (axis[0], axis[-1])))
+        lanes = LaneFormat(min(total, _BATCH), bound)
+        walks = [_column(axis, later, lanes.lane_bytes) for axis, later in zip(axes, laters)]
+    else:
+        walks = [_column(axis, later, _repeated) for axis, later in zip(axes, laters)]
+    best = best_index = None
     n_feasible = 0
-    walks = _columns(axes)
-    for _ in range(0, total, _BATCH):
-        columns = tuple([list(itertools.islice(c, _BATCH)) for c in walks])
-        flags = admits(sf, d, columns)
-        if flags is False:
-            continue
-        if flags is not True:
-            columns = tuple([list(itertools.compress(c, flags)) for c in columns])
-            if not columns[0]:
+    for start in range(0, total, _BATCH):
+        stop = min(start + _BATCH, total)
+        if sf.additive:
+            if stop - start != lanes.count:
+                lanes = LaneFormat(stop - start, bound)
+            columns = tuple([lanes.lanes(cut(start, stop)) for cut in walks])
+            flags = admits(sf, d, columns)
+            mask = lanes.guard if flags is True else flags
+            if not mask:  # False, or no guard bit
                 continue
-        n_feasible += len(columns[0])
-        vals = value(sf, d, columns)
-        if vals.__class__ is not list:  # the same at every point: the first
-            candidates = ((0, vals),)
-        elif sf.additive:
-            top = extreme(vals)
-            candidates = ((vals.index(top), top),)
+            n_feasible += mask.bit_count()
+            val = value(sf, d, columns)
+            if val.__class__ is Lanes:
+                i, val = lanes.best(val.v, mask, largest)
+            else:  # the same at every point: the first
+                i = lanes.first(mask)
+            candidates = ((i, val),)
         else:
-            candidates = enumerate(vals)
+            columns = tuple([cut(start, stop) for cut in walks])
+            index = range(stop - start)
+            flags = admits(sf, d, columns)
+            if flags is False:
+                continue
+            if flags is not True:
+                index = list(itertools.compress(index, flags))
+                columns = tuple([list(itertools.compress(c, flags)) for c in columns])
+                if not index:
+                    continue
+            n_feasible += len(index)
+            vals = value(sf, d, columns)
+            candidates = zip(index, vals if vals.__class__ is list
+                             else itertools.repeat(vals, 1))
         for i, val in candidates:
-            if best_point is None or (
+            if best_index is None or (
                     (le(val, best) if minimizing else le(best, val))
                     and not eq(val, best)):
-                best, best_point = val, [c[i] for c in columns]
-    if best_point is None:
+                best, best_index = val, start + i
+    if best_index is None:
         return GridResult(False, None, None, total, n_feasible)
-    argbest = Matrix._raw(sf, tuple((unlift(u, scale),) for u in best_point))
+    argbest = Matrix._raw(sf, tuple(
+        (unlift(axis[best_index // later % len(axis)], scale),)
+        for axis, later in zip(axes, laters)))
     return GridResult(True, sf.wrap(unlift(best, scale)), argbest, total, n_feasible)
 
 

@@ -15,15 +15,19 @@ A batch ``X`` is a tuple of n coordinates over points that share one zero
 pattern (a regular point has none).  At such points the zero pattern of
 every intermediate (``A x``, ``x-``, ``B x + g``, ...) depends only on the
 data, so an entry of the batch algebra below is one of three forms: ``None``,
-the zero at every point; a payload, the same at every point; or a list over
-the points.  Each operation dispatches on the forms once and maps the
-carrier rule over the lists.  A row-times-column product takes the first
-strictly best product, as :func:`linalg.dot` does.  On max-plus and
-min-plus, whose payloads are lifted to ints first
-(:meth:`ProblemKind.payloads`), the other rules are ``max`` / ``min``, ``+``
-and ``-``; on max-times and min-times they are the rules of
-:class:`Semifield`, so the ``REL_TOL`` tie rule and the underflow errors are
-those of one point.
+the zero at every point; a payload, the same at every point; or the
+payloads over the points.  On max-plus and min-plus, whose payloads are
+lifted to ints first (:meth:`ProblemKind.payloads`), those are
+:class:`Lanes`, one int with a lane per point (:class:`LaneFormat`), on
+which the product, the sum (``max`` / ``min``), the inverse and the order
+are each a few big-int operations over every point at once, and flags are
+the lanes' guard bits.  On max-times and min-times they are a list, and
+each operation maps the rule of :class:`Semifield` over it, so the
+``REL_TOL`` tie rule and the underflow errors are those of one point;
+flags are a list of booleans.  Flags the same at every point are ``True``
+or ``False``.  Each operation dispatches on the forms once.  A
+row-times-column product takes the first strictly best product, as
+:func:`linalg.dot` does.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import repeat
 from typing import Callable, Sequence
 
 from . import solvers
-from .errors import DegenerateInputError, ShapeError, TagMismatchError
+from .errors import DegenerateInputError, InvariantError, ShapeError, TagMismatchError
 from .linalg import Matrix, lift, unlift
 from .semifield import Scalar, Semifield
 
@@ -112,25 +116,29 @@ class ProblemKind:
                 else (_column(value),) if shapes[name] else ((value.v,),)
                 for name, value in data.items()}
 
-    def payloads(self, data: dict, sf: Semifield, rows=()) -> tuple[dict, tuple, int]:
-        """``(d, rows, L)``: the inputs in ``data`` as ``value`` and
+    def payloads(self, data: dict, sf: Semifield, rows=()) -> tuple[dict, tuple, int, int]:
+        """``(d, rows, L, bound)``: the inputs in ``data`` as ``value`` and
         ``admits`` take them (a matrix as its payload rows, a vector as a
         payload tuple, a scalar as its payload) and the payload ``rows``
         (the start and step of each grid axis, or points), as tuples, all
         through one :func:`linalg.lift`: on max-plus and min-plus lifted to
         ints by the lcm ``L`` of their denominators, which scales the
-        semantics by ``L`` and keeps every comparison and tie; as they are,
-        with ``L = 1``, on the other carriers.  Data of another semifield
-        raises :class:`TagMismatchError`."""
+        semantics by ``L`` and keeps every comparison and tie, and ``bound``
+        the largest magnitude among them (a :class:`LaneFormat` needs it);
+        as they are, with ``L = 1`` and ``bound`` ``None``, on the other
+        carriers.  Data of another semifield raises
+        :class:`TagMismatchError`."""
         if any(value.sf is not sf for value in data.values()):
             raise TagMismatchError(f"{self.kind} data of another semifield than {sf.tag}")
         blocks = [rows, *self.rows(data).values()]
         lifted, scale = lift(sf, [r for block in blocks for r in block])
+        bound = max((abs(v) for r in lifted for v in r if v is not None),
+                    default=0) if sf.additive else None
         lifted = map(tuple, lifted)
         rows, *inputs = [tuple(next(lifted) for _ in block) for block in blocks]
         shapes = self.shapes
         return ({name: m if len(shapes[name]) == 2 else m[0] if shapes[name] else m[0][0]
-                 for name, m in zip(data, inputs)}, rows, scale)
+                 for name, m in zip(data, inputs)}, rows, scale, bound)
 
     def evaluate(self, data: dict, xs: Sequence[Matrix]) -> tuple[list[bool], list]:
         """``(flags, values)`` at the members ``xs``: whether each is
@@ -140,22 +148,22 @@ class ProblemKind:
         are one batch; an empty ``xs`` gives two empty lists."""
         if not xs:
             return [], []
-        sf, d, points, scale = self._batch(data, xs)
+        sf, d, points, scale, bound = self._batch(data, xs)
         flags, values = [None] * len(xs), [None] * len(xs)
         groups: dict[tuple, list[int]] = {}
         for i, point in enumerate(points):
             groups.setdefault(tuple(v is None for v in point), []).append(i)
         for group in groups.values():
-            batch = _transpose([points[i] for i in group])
-            for i, ok, val in zip(group, _as_list(self.admits(sf, d, batch), len(group)),
-                                  _as_list(self.value(sf, d, batch), len(group))):
+            batch, lanes = _transpose(sf, [points[i] for i in group], bound)
+            for i, ok, val in zip(group, _flags(self.admits(sf, d, batch), len(group), lanes),
+                                  _values(self.value(sf, d, batch), len(group))):
                 flags[i], values[i] = ok, unlift(val, scale)
         return flags, values
 
     def _batch(self, data: dict, xs: Sequence[Matrix]) -> tuple:
-        """``(sf, d, points, L)`` by :meth:`payloads`, a point a member's
-        payload tuple, the shapes checked first, since the batch forms would
-        zip a mismatch away."""
+        """``(sf, d, points, L, bound)`` by :meth:`payloads`, a point a
+        member's payload tuple, the shapes checked first, since the batch
+        forms would zip a mismatch away."""
         self.dim(data, xs)
         sf = xs[0].sf
         if any(x.sf is not sf for x in xs):
@@ -163,13 +171,14 @@ class ProblemKind:
         return (sf, *self.payloads(data, sf, [_column(x) for x in xs]))
 
     def _objective(self, data: dict, x: Matrix) -> Scalar:
-        sf, d, points, scale = self._batch(data, (x,))
-        (val,) = _as_list(self.value(sf, d, _transpose(points)), 1)
+        sf, d, points, scale, bound = self._batch(data, (x,))
+        (val,) = _values(self.value(sf, d, _transpose(sf, points, bound)[0]), 1)
         return sf.wrap(unlift(val, scale))
 
     def _feasible(self, data: dict, x: Matrix) -> bool:
-        sf, d, points, _ = self._batch(data, (x,))
-        (ok,) = _as_list(self.admits(sf, d, _transpose(points)), 1)
+        sf, d, points, _, bound = self._batch(data, (x,))
+        batch, lanes = _transpose(sf, points, bound)
+        (ok,) = _flags(self.admits(sf, d, batch), 1, lanes)
         return ok
 
 
@@ -177,19 +186,185 @@ def _column(v: Matrix) -> tuple:
     return tuple(r[0] for r in v.p)
 
 
-def _transpose(points: list[tuple]) -> tuple:
-    """The batch of payload tuples with one zero pattern: per coordinate
-    ``None`` or the list of its payloads."""
-    return tuple([None if c[0] is None else list(c) for c in zip(*points)])
+def _transpose(sf: Semifield, points: list[tuple], bound) -> tuple:
+    """``(batch, lanes)``: the batch of payload tuples with one zero pattern,
+    per coordinate ``None`` or its payloads packed by the batch's
+    :class:`LaneFormat` ``lanes`` on max-plus and min-plus (``bound`` as
+    there), as a list on the other carriers, where ``lanes`` is ``None``."""
+    columns = list(zip(*points))
+    if not sf.additive:
+        return tuple([None if c[0] is None else list(c) for c in columns]), None
+    lanes = LaneFormat(len(points), bound)
+    return tuple([None if c[0] is None else lanes.pack(c) for c in columns]), lanes
 
 
-def _as_list(entry, count: int) -> list:
-    """An entry (or flags) of a batch of ``count`` points as a list."""
+def _values(entry, count: int) -> list:
+    """An entry of a batch of ``count`` points as a list of payloads."""
+    if entry.__class__ is Lanes:
+        return entry.format.unpack(entry.v)
     return entry if entry.__class__ is list else [entry] * count
 
 
+def _flags(flags, count: int, lanes) -> list:
+    """The flags of a batch of ``count`` points as a list."""
+    if flags.__class__ is bool:
+        return [flags] * count
+    return flags if flags.__class__ is list else lanes.admitted(flags)
+
+
 # ----------------------------------------------------------------------
-# the batch algebra: entries None, a payload, or a list over the batch
+# packed lanes: a max-plus or min-plus batch coordinate as one int
+
+#: No term of the semantics multiplies more than this many payloads; the
+#: deepest is ``(q- B x)((A x)- p)``.  Every intermediate is such a term or
+#: a sum of them, so its magnitude is at most this many times the largest
+#: lifted payload.
+_FACTORS = 6
+
+
+class Lanes:
+    """A batch entry on max-plus and min-plus: the packed int ``v`` of a
+    :class:`LaneFormat`."""
+
+    __slots__ = ("v", "format")
+
+    def __init__(self, v: int, format: LaneFormat):
+        self.v = v
+        self.format = format
+
+
+class LaneFormat:
+    """The lanes of one max-plus or min-plus batch of ``count`` points.
+
+    A batch coordinate is one Python int with a ``width``-bit lane per
+    point, point i in bits ``[i W, (i + 1) W)``, packed and unpacked as
+    little-endian bytes.  A lane holds the payload plus the bias ``2^(W-2)``
+    and leaves its top bit, the guard, clear; ``W``, a multiple of 8, makes
+    room for ``_FACTORS`` times ``bound``, the largest magnitude of the
+    lifted payloads, so that no intermediate leaves ``(-2^(W-2),
+    2^(W-2))``, at any size.  The ``+`` of two such ints then never carries
+    from a lane into the next, and the semiring operations are a few
+    big-int operations over every lane at once: ``u v`` is an addition
+    (less one bias), ``u-`` a subtraction, and ``a >= b`` is the guard bit
+    of ``(a | guard) - b``, from which ``max`` / ``min`` select each lane
+    with ``b ^ ((a ^ b) & mask)`` (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 1975).  Flags are guard bits.  A product
+    or inverse that leaves the range, which the bound rules out, raises
+    :class:`InvariantError`.
+    """
+
+    __slots__ = ("count", "size", "width", "bias", "ones", "guard", "biased")
+
+    def __init__(self, count: int, bound: int):
+        self.count = count
+        self.size = size = ((_FACTORS * bound).bit_length() + 9) // 8  # bytes per lane
+        self.width = width = 8 * size
+        self.bias = 1 << (width - 2)
+        self.ones = ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
+        self.guard = ones << (width - 1)
+        self.biased = ones << (width - 2)
+
+    # packing and unpacking
+
+    def lane_bytes(self, payloads, repeat: int = 1) -> bytes:
+        """The bytes of the lanes of ``payloads``, each one ``repeat``
+        times."""
+        bias, size = self.bias, self.size
+        return b"".join([(v + bias).to_bytes(size, "little") * repeat for v in payloads])
+
+    def lanes(self, raw: bytes) -> Lanes:
+        """The entry of the ``count`` lanes in ``raw``."""
+        return Lanes(int.from_bytes(raw, "little"), self)
+
+    def pack(self, payloads) -> Lanes:
+        """The entry with one lane per payload."""
+        return self.lanes(self.lane_bytes(payloads))
+
+    def unpack(self, v: int) -> list[int]:
+        """The payloads of the lanes of ``v``."""
+        raw, size, bias = v.to_bytes(self.count * self.size, "little"), self.size, self.bias
+        return [int.from_bytes(raw[i:i + size], "little") - bias
+                for i in range(0, len(raw), size)]
+
+    def admitted(self, mask: int) -> list[bool]:
+        """The flags of the guard bits of ``mask``: the top bit of each
+        lane's last byte."""
+        raw = mask.to_bytes(self.count * self.size, "little")
+        return [byte > 127 for byte in raw[self.size - 1::self.size]]
+
+    # the semiring on entries, one of them lanes and the other lanes or a
+    # payload, which stands in every lane
+
+    def times(self, u, v) -> Lanes:
+        """``u v``: the lanes added."""
+        if u.__class__ is not Lanes:
+            u, v = v, u
+        return self._checked(u.v + (v.v - self.biased if v.__class__ is Lanes
+                                    else self.ones * v))
+
+    def inverse(self, u: Lanes) -> Lanes:
+        """``u-``: every lane negated."""
+        return self._checked((self.biased << 1) - u.v)
+
+    def plus(self, u, v, largest: bool) -> Lanes:
+        """The larger (or the lesser) of ``u`` and ``v`` in each lane."""
+        return Lanes(self._pick(self._packed(u), self._packed(v), largest, self.guard), self)
+
+    def at_least(self, u, v) -> int:
+        """The flags of ``u >= v``, lane by lane."""
+        return self._at_least(self._packed(u), self._packed(v), self.guard)
+
+    # guard-bit masks
+
+    def first(self, mask: int) -> int:
+        """The index of the first lane whose guard bit ``mask`` sets."""
+        return ((mask & -mask).bit_length() - 1) // self.width
+
+    def best(self, v: int, mask: int, largest: bool) -> tuple[int, int]:
+        """``(i, x)``: the first lane i among the guard bits of ``mask``
+        whose payload x is the largest of theirs (the least unless
+        ``largest``).  The other lanes are filled with a value that beats
+        none, and the lanes are folded in halves down to one."""
+        width, guard, ones = self.width, self.guard, self.ones
+        fill = 0 if largest else (1 << (width - 1)) - 1  # one lane
+        w = fill * ones
+        w ^= (v ^ w) & self._widened(mask)
+        n = self.count
+        while n > 1:
+            half = (n + 1) // 2
+            low, high = w & ((1 << (half * width)) - 1), w >> (half * width)
+            if n % 2:
+                high |= fill << ((half - 1) * width)
+            w = self._pick(low, high, largest, guard >> ((self.count - half) * width))
+            n = half
+        hits = guard & ~(((v ^ (w * ones)) | guard) - ones) & mask  # lanes equal to w
+        return self.first(hits), w - self.bias
+
+    def _packed(self, u) -> int:
+        return u.v if u.__class__ is Lanes else self.ones * u + self.biased
+
+    def _checked(self, v: int) -> Lanes:
+        if v < 0 or v & self.guard:
+            raise InvariantError("a lane of a packed batch overflowed its width")
+        return Lanes(v, self)
+
+    def _widened(self, mask: int) -> int:
+        """Every bit below the guard of each lane whose guard bit ``mask`` sets."""
+        return mask - (mask >> (self.width - 1))
+
+    def _at_least(self, a: int, b: int, guard: int) -> int:
+        return ((a | guard) - b) & guard
+
+    def _pick(self, a: int, b: int, largest: bool, guard: int) -> int:
+        """Each lane below ``guard`` of ``a`` or ``b``, the larger or the
+        lesser: ``b ^ ((a ^ b) & mask)``."""
+        take = (a ^ b) & self._widened(self._at_least(a, b, guard))
+        return b ^ take if largest else a ^ take
+
+
+# ----------------------------------------------------------------------
+# the batch algebra: entries None, a payload, lanes (max-plus and min-plus)
+# or a list over the batch (max-times and min-times)
 
 def _map(op, u, v):
     """``op`` over two present entries: a list when either is one."""
@@ -200,11 +375,19 @@ def _map(op, u, v):
     return op(u, v)
 
 
+def _format(u, v) -> LaneFormat | None:
+    """The lane format of ``u`` or ``v``; ``None`` when neither has lanes."""
+    return u.format if u.__class__ is Lanes else v.format if v.__class__ is Lanes else None
+
+
 def _mul(sf: Semifield, u, v):
     """``u v``."""
     if u is None or v is None:
         return None
-    return _map(operator.add if sf.additive else operator.mul, u, v)
+    if not sf.additive:
+        return _map(operator.mul, u, v)
+    lanes = _format(u, v)
+    return u + v if lanes is None else lanes.times(u, v)
 
 
 def _add(sf: Semifield, u, v):
@@ -216,7 +399,10 @@ def _add(sf: Semifield, u, v):
         return u
     if not sf.additive:
         return _map(sf.add_payload, u, v)
-    return _map(max if sf.maximizing else min, u, v)
+    lanes = _format(u, v)
+    if lanes is None:
+        return max(u, v) if sf.maximizing else min(u, v)
+    return lanes.plus(u, v, sf.maximizing)
 
 
 def _dot(sf: Semifield, u, v):
@@ -226,6 +412,8 @@ def _dot(sf: Semifield, u, v):
     terms = [_mul(sf, a, b) for a, b in zip(u, v) if a is not None and b is not None]
     if len(terms) < 2:
         return terms[0] if terms else None
+    if sf.additive:  # ints: the best is the first best
+        return reduce(partial(_add, sf), terms)
     best = max if sf.maximizing else min
     if all(t.__class__ is not list for t in terms):
         return best(terms)
@@ -237,36 +425,52 @@ def _apply(sf: Semifield, a, x) -> tuple:
     return tuple([_dot(sf, row, x) for row in a])
 
 
+def _inv(sf: Semifield, v):
+    """The inverse of a present entry."""
+    if v.__class__ is Lanes:
+        return v.format.inverse(v)
+    if v.__class__ is list:
+        return list(map(sf.inv_payload, v))
+    return sf.inv_payload(v)
+
+
 def _conj(sf: Semifield, y) -> tuple:
     """``y-``: every present entry inverted; undefined on an all-zero y, as
     in :meth:`Matrix.conj`."""
     if all(v is None for v in y):
         raise DegenerateInputError("conjugate transposition of an all-zero matrix")
-    inv = operator.neg if sf.additive else sf.inv_payload
-    return tuple([None if v is None else list(map(inv, v)) if v.__class__ is list
-                  else inv(v) for v in y])
+    return tuple([None if v is None else _inv(sf, v) for v in y])
+
+
+def _le(sf: Semifield, a, b):
+    """The flags of ``a <= b`` for present entries."""
+    if not sf.additive:
+        return _map(sf.le_payload, a, b)
+    lanes = _format(a, b)
+    if sf.maximizing:
+        return a <= b if lanes is None else lanes.at_least(b, a)
+    return b <= a if lanes is None else lanes.at_least(a, b)
 
 
 def _below(sf: Semifield, u, v):
     """``u <= v`` entrywise, at each point."""
-    le = (operator.le if sf.maximizing else operator.ge) if sf.additive else sf.le_payload
     flags = True
     for a, b in zip(u, v):
         if a is None:  # the zero is the least element
             continue
         if b is None:
             return False
-        flags = _both(flags, _map(le, a, b))
+        flags = _both(flags, _le(sf, a, b))
     return flags
 
 
 def _both(f, g):
-    """The flags of ``f and g``."""
+    """The flags of ``f and g``: guard bits on max-plus and min-plus."""
     if f is True or g is False:
         return g
     if g is True or f is False:
         return f
-    return list(map(operator.and_, f, g))
+    return list(map(operator.and_, f, g)) if f.__class__ is list else f & g
 
 
 def _spread(sf: Semifield, upper, lower=None):

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropsolve import (
     MAX_PLUS,
@@ -33,12 +34,14 @@ from tropsolve import (
 )
 from tropsolve.gen import generate
 from tropsolve.oracle import _BATCH
-from tropsolve.problems import PROBLEM_KINDS
+from tropsolve.problems import PROBLEM_KINDS, LaneFormat
 
+from test_invariance import substitute
 from test_oracle import _axes, _reference_grid_search
 from test_problems import REFERENCE_FEASIBLE, REFERENCE_OBJECTIVE, _point, _same
 
 CARRIERS = (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
+ADDITIVE = (MAX_PLUS, MIN_PLUS)
 
 
 def _grid(sf, center, n):
@@ -119,6 +122,92 @@ def test_a_tie_across_a_batch_boundary_keeps_the_first_point(sf):
     assert ties[0] < _BATCH < ties[-1]  # optimal points on both sides
     res = _assert_walks_agree("cheb_box", data, grid)
     assert res.argbest.p == tuple((v,) for v in points[ties[0]])
+
+
+# x = T y for a diagonal T keeps each instance's status and optimum, and T-
+# maps an optimal point to one of the moved instance (test_invariance): the
+# payloads of T make lifted payloads past 2^64, denominators whose lcm
+# passes 2^64, or negative payloads, in the data and on every axis
+WIDE = {
+    "above_2_64": (2 ** 70 + F(1, 7), -(2 ** 70) - F(2, 9)),
+    "large_lcm": (F(1, 2 ** 31 - 1), F(-5, 2 ** 61 - 1)),
+    "negative": (2 ** 40 + F(1, 5), 2 ** 40 + F(7, 3)),
+}
+
+
+@pytest.mark.parametrize("diagonal", WIDE.values(), ids=WIDE.keys())
+@pytest.mark.parametrize("sf", ADDITIVE, ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
+def test_a_walk_on_wide_lanes_equals_the_per_point_reference(kind, sf, diagonal):
+    t = Matrix(sf, [[diagonal[0], None], [None, diagonal[1]]])
+    for seed in (0, 1):
+        data = generate(kind, 2, seed, sf)
+        center = t.conj() @ solve(kind, **data).solution.anchor()
+        moved = substitute(PROBLEM_KINDS[kind].shapes, data, t)
+        res = _assert_walks_agree(kind, moved, _grid(sf, [center[0], center[1]], 2))
+        assert res.found
+
+
+@pytest.mark.parametrize("sf", ADDITIVE, ids=lambda sf: sf.tag)
+def test_the_only_admitted_point_is_the_last_lane_of_a_batch(sf):
+    # g = h = the point before the batch boundary on one axis of _BATCH + 10
+    target = _BATCH - 1
+    data = {"p": vector(sf, [5]), "q": vector(sf, [-3]),
+            "g": vector(sf, [target]), "h": vector(sf, [target])}
+    grid = GridSpec(((sf.scalar(0), sf.scalar(_BATCH + 9)),), sf.scalar(1))
+    res = grid_search("cheb_box", data, grid)
+    assert res.found and res.points_total == _BATCH + 10 and res.points_feasible == 1
+    assert res.argbest.p == ((target,),)
+    assert res.value == REFERENCE_OBJECTIVE["cheb_box"](data, res.argbest)
+
+
+@pytest.mark.parametrize("sf", ADDITIVE, ids=lambda sf: sf.tag)
+def test_an_optimum_tied_on_the_first_and_the_last_lane_takes_the_first(sf):
+    # the span of (x1, c) is |x1 - c|, largest at both ends of x1's axis only
+    c, k = F(1, 3), 49
+    eye = Matrix.identity(sf, 2)
+    grid = GridSpec(((sf.scalar(c - k), sf.scalar(c + k)), (sf.scalar(c), sf.scalar(c))),
+                    sf.scalar(1))
+    res = _assert_walks_agree("span_max_norm", {"A": eye, "B": eye}, grid)
+    assert res.points_total == 2 * k + 1
+    assert res.argbest.p == ((c - k,), (c,))
+    assert abs(res.value.v) == k
+
+
+# ----------------------------------------------------------------------
+# the lane primitives against plain ints
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_lane_operations_equal_the_int_operations_lane_by_lane(data):
+    # lanes narrower and wider than 64 bits, from 1 to 300 of them
+    bits = data.draw(st.integers(0, 200), label="bits")
+    count = data.draw(st.integers(1, 300), label="count")
+    ints = st.integers(-(2 ** bits), 2 ** bits)
+    a = data.draw(st.lists(ints, min_size=count, max_size=count), label="a")
+    b = data.draw(st.lists(ints, min_size=count, max_size=count), label="b")
+    y = data.draw(ints, label="y")  # a payload, the same in every lane
+    lanes = LaneFormat(count, max(map(abs, [*a, *b, y])))
+    u, v = lanes.pack(a), lanes.pack(b)
+    assert lanes.unpack(u.v) == a
+    ys = [y] * count
+    for left, right, xs, zs in ((u, v, a, b), (u, y, a, ys), (y, v, ys, b)):
+        assert lanes.unpack(lanes.times(left, right).v) == list(map(int.__add__, xs, zs))
+        assert lanes.unpack(lanes.plus(left, right, True).v) == list(map(max, xs, zs))
+        assert lanes.unpack(lanes.plus(left, right, False).v) == list(map(min, xs, zs))
+        assert lanes.admitted(lanes.at_least(left, right)) == list(map(int.__ge__, xs, zs))
+    assert lanes.unpack(lanes.inverse(u).v) == [-x for x in a]
+    mask = lanes.at_least(u, v) & lanes.at_least(y, u)
+    flags = [x >= z and y >= x for x, z in zip(a, b)]
+    assert lanes.admitted(mask) == flags
+    assert mask.bit_count() == sum(flags)
+    if any(flags):
+        assert lanes.first(mask) == flags.index(True)
+        admitted = [x for x, ok in zip(a, flags) if ok]
+        for largest, extreme in ((True, max), (False, min)):
+            top = extreme(admitted)
+            first = next(i for i, x in enumerate(a) if flags[i] and x == top)
+            assert lanes.best(u.v, mask, largest) == (first, top)
 
 
 @pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)

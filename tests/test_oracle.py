@@ -92,6 +92,15 @@ def test_grid_bounds_of_another_semifield_than_the_step_are_refused(bounds):
         grid_search("rayleigh", {"A": Matrix.identity(MAX_PLUS, 2)}, grid)
 
 
+def test_data_of_another_semifield_than_the_step_is_refused_before_counting():
+    # about 1e18 max-plus points: counted first, they would overflow the cap
+    data = generate("rayleigh", 2, seed=5, sf=MAX_TIMES)
+    grid = GridSpec(((MAX_PLUS.scalar(0), MAX_PLUS.scalar(10 ** 9)),) * 2,
+                    MAX_PLUS.scalar(1))
+    with pytest.raises(TagMismatchError, match="another semifield"):
+        grid_search("rayleigh", data, grid)
+
+
 def test_multiplicative_axis_is_counted_before_it_is_built():
     # about 1.4e10 points from 1 to 1e6 in steps of 1 + 1e-9
     data = generate("rayleigh", 1, seed=5, sf=MAX_TIMES)
