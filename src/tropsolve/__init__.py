@@ -69,19 +69,33 @@ from .solvers import (
     solve_span_min_special,
 )
 from .problems import PROBLEM_KINDS, ProblemKind
-from .oracle import (
-    DEFAULT_WINDOW,
-    NO_FEASIBLE_POINT,
-    GridResult,
-    GridSpec,
-    VerificationReport,
-    anchor_member,
-    cycle_mean_radius,
-    default_grid,
-    default_step,
-    grid_search,
-    sample_solution_set,
-    verify_report,
-)
+
+#: The oracle's names, loaded with it on first use: solving never needs it.
+_ORACLE = frozenset((
+    "DEFAULT_WINDOW",
+    "NO_FEASIBLE_POINT",
+    "GridResult",
+    "GridSpec",
+    "VerificationReport",
+    "anchor_member",
+    "cycle_mean_radius",
+    "default_grid",
+    "default_step",
+    "grid_search",
+    "sample_solution_set",
+    "verify_report",
+))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
+
+# what ``from tropsolve import *`` gave when the oracle loaded eagerly
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | _ORACLE | {"oracle"})

@@ -26,7 +26,6 @@ from .fileio import (
 )
 from .gen import generate
 from .linalg import format_matrix, kleene_star, parse_matrix, spectral_radius, tr_functional
-from .oracle import default_grid, verify_report
 from .problems import PROBLEM_KINDS
 from .semifield import MAX_PLUS, SEMIFIELDS, payload_text, rational
 from .solvers import INFEASIBLE, solve
@@ -139,6 +138,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import default_grid, verify_report  # solving never loads it
+
     doc = load_document(args.path)
     report = solve(doc.kind, **doc.data)
     settings = _settings(doc.verify, args, {

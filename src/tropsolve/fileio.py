@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CarrierDomainError, DocumentError
 from .linalg import Matrix, encode_matrix, encode_payload, encode_scalar, encode_vector
-from .oracle import VerificationReport
 from .problems import PROBLEM_KINDS
 from .semifield import SEMIFIELDS, Scalar, Semifield
 from .solvers import OptimumReport
+
+if TYPE_CHECKING:  # the oracle loads only when a report is verified
+    from .oracle import VerificationReport
 
 REPORT_SCHEMA = "tropsolve.report/1"
 VERIFY_SCHEMA = "tropsolve.verify/1"
@@ -46,11 +49,23 @@ def _decode_scalar(sf: Semifield, raw, field: str) -> Scalar:
     return sf.wrap(_decode_payload(sf, raw, field))
 
 
+def _decode_row(sf: Semifield, raw: list, field: str, i: int | None = None) -> tuple:
+    """The payloads of the entries of ``raw``, row ``i`` of a matrix or a
+    vector's entries; only on a failure is it walked again, so that the
+    error names the entry, ``field[i][j]`` or ``field[j]``."""
+    try:
+        return tuple(map(sf.payload, raw))
+    except (ValueError, ArithmeticError, CarrierDomainError):
+        prefix = field if i is None else f"{field}[{i}]"
+        for j, v in enumerate(raw):
+            _decode_payload(sf, v, f"{prefix}[{j}]")
+        raise
+
+
 def _decode_vector(sf: Semifield, raw, field: str) -> Matrix:
     if not isinstance(raw, list) or not raw or any(isinstance(v, list) for v in raw):
         raise DocumentError("expected a flat non-empty array", field)
-    return Matrix._raw(sf, tuple(
-        (_decode_payload(sf, v, f"{field}[{i}]"),) for i, v in enumerate(raw)))
+    return Matrix._raw(sf, tuple(zip(_decode_row(sf, raw, field))))
 
 
 def _decode_matrix(sf: Semifield, raw, field: str) -> Matrix:
@@ -63,8 +78,7 @@ def _decode_matrix(sf: Semifield, raw, field: str) -> Matrix:
         if len(r) != width:
             raise DocumentError(f"row has {len(r)} entries, expected {width}",
                                 f"{field}[{i}]")
-        rows.append(tuple(_decode_payload(sf, v, f"{field}[{i}][{j}]")
-                          for j, v in enumerate(r)))
+        rows.append(_decode_row(sf, r, field, i))
     return Matrix._raw(sf, tuple(rows))
 
 

@@ -99,17 +99,18 @@ def _axis_count(sf: Semifield, lo: Scalar, hi: Scalar, step: Scalar,
     return count
 
 
-def _axis(sf: Semifield, lo, step, count: int) -> list:
+def _axis(sf: Semifield, lo, step, count: int):
     """The ``count`` payloads of one axis from the payload ``lo`` in steps of
-    ``step``: ``lo + i step`` on an additive carrier, ``lo step^i`` on a
-    multiplicative one."""
+    ``step``: on an additive carrier, whose start and step come lifted to
+    ints, the ``range`` of ``lo + i step``, held as three ints; on a
+    multiplicative one the list of ``lo step^i``."""
     if sf.additive:
-        return [lo + step * i for i in range(count)]
+        return range(lo, lo + step * count, step)
     return list(itertools.accumulate(
         itertools.repeat(step, count - 1), operator.mul, initial=lo))
 
 
-def _column(axis: list, later: int, expand) -> Callable[[int, int], object]:
+def _column(axis, later: int, expand) -> Callable[[int, int], object]:
     """The coordinate column of one axis over the walk in product order, as
     a function of ``(start, stop)`` that gives the points ``start`` to
     ``stop - 1``: each payload of the axis repeated once per point of the
@@ -140,7 +141,7 @@ def _column(axis: list, later: int, expand) -> Callable[[int, int], object]:
         # fewer runs in between than the axis has points, since the period
         # exceeds a batch: they wrap around the axis at most once
         runs, j = last - first - 1, (first + 1) % count
-        middle = axis[j:j + runs]
+        middle = list(axis[j:j + runs])
         middle += axis[:runs - len(middle)]
         return (expand(head, later - skip) + expand(middle, later)
                 + expand(axis[last % count:last % count + 1], keep))
@@ -397,8 +398,13 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
     infeasible report passes when the grid holds no feasible point.  Without
     ``grid`` the one :func:`default_grid` gives is walked.  More samples than
     the grid's point cap raise :class:`GridOverflowError`, and a negative
-    count :class:`DegenerateInputError`.  The members are evaluated as one
-    batch by :meth:`ProblemKind.evaluate`.
+    count :class:`DegenerateInputError`.  The members stay as the
+    solution set draws them, lifted by ``L``, and are checked as one batch
+    by :meth:`ProblemKind.check`, which lifts the data with them to a
+    multiple ``L'`` of ``L``: each lifted value is compared with ``optimum
+    L'`` exactly (an ``int`` equals a ``Fraction`` only when they are the
+    same rational), and on max-times and min-times, where ``L'`` is 1,
+    within ``REL_TOL``, by :meth:`Semifield.eq_payload`.
     """
     pk = PROBLEM_KINDS[kind]
     if samples < 0:
@@ -417,11 +423,12 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
         raise GridOverflowError(
             f"{samples} samples exceed the cap {grid.cap}; lower --samples "
             f"or raise grid.cap in the document")
-    members = sample_solution_set(report.solution, samples, seed, window)
-    flags, values = pk.evaluate(data, members)
-    eq, optimum = report.optimum.sf.eq_payload, report.optimum.v
+    sf, points, scale = report.solution.draw(samples, seed, window)
+    flags, values, scale = pk.check(data, sf, points, scale)
+    optimum = report.optimum.v
+    target = None if optimum is None else optimum * scale
     bad_feas = tuple(i for i, ok in enumerate(flags) if not ok)
-    bad_att = tuple(i for i, v in enumerate(values) if not eq(v, optimum))
+    bad_att = tuple(i for i, v in enumerate(values) if not sf.eq_payload(v, target))
 
     res = grid_search(kind, data, grid)
     minimizing = pk.sense == "min"
@@ -436,4 +443,4 @@ def verify_report(kind: str, data: dict, report: OptimumReport,
     passed = not bad_feas and not bad_att and res.found and grid_ok and not beats
     return VerificationReport(
         kind, report.status, report.optimum, res.value, gap, beats,
-        len(members), bad_feas, bad_att, res.points_total, passed)
+        len(points), bad_feas, bad_att, res.points_total, passed)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial, reduce
 from itertools import repeat
 from typing import Callable, Sequence
@@ -54,11 +55,12 @@ class ProblemKind:
     dimension of the unknown x.  The solver takes each input as the keyword
     argument of the same name in lower case.  ``value`` returns an entry of
     the batch algebra and ``admits`` one of flags (``True``, ``False`` or a
-    list of them); :meth:`evaluate` runs both on Matrix members.
+    list of them); :meth:`check` runs them on members lifted as a
+    solution set draws them, and :meth:`evaluate` on Matrix members.
     ``objective(data, x)`` and ``feasible(data, x)`` are a batch of one
-    member, with Matrix and Scalar data, possibly only the inputs the
-    semantics reads; they are fields so that a ``dataclasses.replace`` copy
-    can wrap them.
+    member through the same check, with Matrix and Scalar data, possibly
+    only the inputs the semantics reads; they are fields so that a
+    ``dataclasses.replace`` copy can wrap them.
     """
 
     kind: str
@@ -78,21 +80,19 @@ class ProblemKind:
         if self.feasible is None:
             object.__setattr__(self, "feasible", self._feasible)
 
-    def dim(self, data: dict, xs: Sequence[Matrix] | None = None) -> int:
+    def dim(self, data: dict, xs: Sequence | None = None) -> int:
         """Check every input against its declared shape and return ``n``.
 
         Each letter takes its size from the first input that has it; a
         :class:`ShapeError` names the first input that disagrees, and the
-        input that set the size.  Given members ``xs`` of the unknown, it
-        checks each as the column vector ``n`` too (``x[i]`` in a message),
-        and only the inputs ``data`` has.
+        input that set the size.  Given members ``xs`` of the unknown,
+        Matrices or payload sequences, it checks each as the column vector
+        ``n`` too (``x[i]`` in a message), and only the inputs ``data``
+        has.
         """
         shapes = self.shapes
         if xs is not None:
-            members = {f"x[{i}]": x for i, x in enumerate(xs)}
-            shapes = {**{k: v for k, v in shapes.items() if k in data},
-                      **dict.fromkeys(members, "n")}
-            data = {**data, **members}
+            shapes = {k: v for k, v in shapes.items() if k in data}
         sizes: dict[str, tuple[int, str]] = {}  # letter -> (size, set by)
         for name, letters in shapes.items():
             if not letters:
@@ -105,7 +105,19 @@ class ProblemKind:
                 if size != bound:
                     raise ShapeError(f"{name} has shape {shape}, which does not "
                                      f"fit {letter} = {bound} (set by {source})")
-        return sizes["n"][0]
+        if xs is None:
+            return sizes["n"][0]
+        n, source = sizes.get("n", (None, None))
+        for i, x in enumerate(xs):
+            shape = x.shape if x.__class__ is Matrix else (len(x), 1)
+            if n is None:
+                n, source = shape[0], f"x[{i}]"
+            if shape != (n, 1):
+                if shape[1] != 1:
+                    raise ShapeError(f"x[{i}] must be a column vector, got shape {shape}")
+                raise ShapeError(f"x[{i}] has shape {shape}, which does not "
+                                 f"fit n = {n} (set by {source})")
+        return n
 
     def rows(self, data: dict) -> dict[str, tuple]:
         """The payload rows of each input in ``data`` by its declared role: a
@@ -140,45 +152,73 @@ class ProblemKind:
         return ({name: m if len(shapes[name]) == 2 else m[0] if shapes[name] else m[0][0]
                  for name, m in zip(data, inputs)}, rows, scale, bound)
 
-    def evaluate(self, data: dict, xs: Sequence[Matrix]) -> tuple[list[bool], list]:
-        """``(flags, values)`` at the members ``xs``: whether each is
-        feasible, and its objective as a canonical payload (an ``int`` when
-        integral).  The shapes are checked and the data and the members
-        turned into payloads once, and the members with one zero pattern
-        are one batch; an empty ``xs`` gives two empty lists."""
-        if not xs:
-            return [], []
-        sf, d, points, scale, bound = self._batch(data, xs)
-        flags, values = [None] * len(xs), [None] * len(xs)
-        groups: dict[tuple, list[int]] = {}
+    def check(self, data: dict, sf: Semifield, points: Sequence[Sequence], scale: int,
+              flags: bool = True, values: bool = True) -> tuple[list | None, list | None, int]:
+        """``(flags, values, L)`` at ``points``, members of the unknown as
+        payload sequences lifted by ``scale``, as a solution set's ``draw``
+        gives them: whether each is feasible, and its objective lifted by
+        ``L``, each ``None`` when not asked for, so that ``data`` need hold
+        only the inputs the semantics asked for reads.  The shapes are
+        checked first, since the batch forms would zip a mismatch away.
+        The data go through :meth:`payloads` with the one row ``1 /
+        scale``, so that one :func:`linalg.lift` brings them to a multiple
+        ``L`` of the members' scale; the points, multiplied by ``L / scale``
+        when that is not one, are packed into one batch per zero pattern.
+        On max-times and min-times ``scale`` and ``L`` are 1.  No points
+        give empty lists."""
+        oks = [None] * len(points) if flags else None
+        vals = [None] * len(points) if values else None
+        if not points:
+            return oks, vals, scale
+        self.dim(data, points)
+        d, _, lifted, bound = self.payloads(data, sf, [(Fraction(1, scale),)])
+        if lifted != scale:
+            k = lifted // scale
+            points = [[None if v is None else k * v for v in p] for p in points]
+        if sf.additive:
+            bound = max(bound, max((abs(v) for p in points for v in p if v is not None),
+                                   default=0))
+        groups: dict[tuple | bool, list[int]] = {}  # a regular point's key is False
         for i, point in enumerate(points):
-            groups.setdefault(tuple(v is None for v in point), []).append(i)
+            groups.setdefault(None in point and tuple([v is None for v in point]),
+                              []).append(i)
         for group in groups.values():
             batch, lanes = _transpose(sf, [points[i] for i in group], bound)
-            for i, ok, val in zip(group, _flags(self.admits(sf, d, batch), len(group), lanes),
-                                  _values(self.value(sf, d, batch), len(group))):
-                flags[i], values[i] = ok, unlift(val, scale)
-        return flags, values
+            if flags:
+                for i, ok in zip(group, _flags(self.admits(sf, d, batch), len(group), lanes)):
+                    oks[i] = ok
+            if values:
+                for i, val in zip(group, _values(self.value(sf, d, batch), len(group))):
+                    vals[i] = val
+        return oks, vals, lifted
 
-    def _batch(self, data: dict, xs: Sequence[Matrix]) -> tuple:
-        """``(sf, d, points, L, bound)`` by :meth:`payloads`, a point a
-        member's payload tuple, the shapes checked first, since the batch
-        forms would zip a mismatch away."""
+    def evaluate(self, data: dict, xs: Sequence[Matrix]) -> tuple[list[bool], list]:
+        """``(flags, values)`` at the Matrix members ``xs``: whether each is
+        feasible, and its objective as a canonical payload (an ``int`` when
+        integral), by :meth:`check`; an empty ``xs`` gives two empty
+        lists."""
+        if not xs:
+            return [], []
+        flags, values, scale = self.check(data, *self._lifted(data, xs))
+        return flags, [unlift(v, scale) for v in values]
+
+    def _lifted(self, data: dict, xs: Sequence[Matrix]) -> tuple:
+        """``(sf, points, L)``: the members ``xs`` lifted by one
+        :func:`linalg.lift`, their shapes checked first, since a column
+        taken from a wider matrix would hide its shape."""
         self.dim(data, xs)
         sf = xs[0].sf
         if any(x.sf is not sf for x in xs):
             raise TagMismatchError(f"{self.kind} members of more than one semifield")
-        return (sf, *self.payloads(data, sf, [_column(x) for x in xs]))
+        return (sf, *lift(sf, [_column(x) for x in xs]))
 
     def _objective(self, data: dict, x: Matrix) -> Scalar:
-        sf, d, points, scale, bound = self._batch(data, (x,))
-        (val,) = _values(self.value(sf, d, _transpose(sf, points, bound)[0]), 1)
+        sf, points, scale = self._lifted(data, (x,))
+        _, (val,), scale = self.check(data, sf, points, scale, flags=False)
         return sf.wrap(unlift(val, scale))
 
     def _feasible(self, data: dict, x: Matrix) -> bool:
-        sf, d, points, _, bound = self._batch(data, (x,))
-        batch, lanes = _transpose(sf, points, bound)
-        (ok,) = _flags(self.admits(sf, d, batch), 1, lanes)
+        (ok,), _, _ = self.check(data, *self._lifted(data, (x,)), values=False)
         return ok
 
 

@@ -5,9 +5,12 @@ type answers the same protocol, so no caller branches on the type:
 
 * ``is_empty``: whether the set has no member;
 * ``anchor()``: one exact, regular, optimum-attaining member;
-* ``sample(count, seed, window)``: deterministic members, boundary vectors
-  first, unbounded directions explored within ``window`` carrier units; all
-  are points of a box, scaled for a ray or a family, mapped by any generator;
+* ``draw(count, seed, window)``: ``(sf, points, L)``, deterministic
+  members as lists of payloads lifted by ``L``, boundary vectors first,
+  unbounded directions explored within ``window`` carrier units; all are
+  points of a box, scaled for a ray or a family, mapped by any generator;
+* ``sample(count, seed, window)``: the same members as Matrices, each
+  payload divided by ``L`` once, the one place that unlifts them;
 * ``to_dict()``: the ``solution`` object of a JSON report;
 * ``describe()``: the lines ``tropsolve solve`` prints for the set.
 
@@ -79,25 +82,27 @@ def _draws(sf: Semifield, lo, hi, w) -> list:
     return [1.0 * w ** (2 * t - 1) for t in ts]
 
 
-def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | None,
-                count: int, seed: int, window, cone: bool = False,
-                generator: Matrix | None = None) -> list[Matrix]:
-    """Regular bounds of the box first, then random points between them, each
-    coordinate drawn in turn as k = ``randint(0, 16)``, the exact rational
-    parameter t = k / 16 of :func:`_draws`; w is ``window`` or its inverse,
-    at least one.  With a ``generator`` G every member u is mapped to G u.
+def _draw_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | None,
+              count: int, seed: int, window, cone: bool = False,
+              generator: Matrix | None = None) -> tuple[Semifield, list[list], int]:
+    """``(sf, points, L)``: regular bounds of the box first, then random
+    points between them, each a list of payloads lifted by ``L``.  Each
+    coordinate is drawn in turn as k = ``randint(0, 16)``, by its exact
+    rejection loop over ``getrandbits(5)``, the exact rational parameter
+    t = k / 16 of :func:`_draws`; w is ``window`` or its inverse, at least
+    one.  With a ``generator`` G every member u is mapped to G u.
 
     A coordinate the box fixes is its bound and draws no t.  A ``cone`` is
     every positive multiple of its box: each random point is scaled by
     ``one * w^(2t - 1)``, t drawn last, and the point box {d} is listed
     once, then scaled.  On max-plus and min-plus the bounds, w and G are
-    lifted once by ``16 L`` (:func:`lift`), so the draws, the scaling and
-    the map (:func:`dot`) run on ints, and each output coordinate is divided
-    once, to its canonical payload.  A multiplicative member that leaves
-    the positive floats raises :class:`CarrierDomainError`, a negative
-    ``count`` :class:`DegenerateInputError`, and a bound or a generator of
-    another semifield or dimension :class:`TagMismatchError` or
-    :class:`ShapeError`.
+    lifted once by ``L = 16 L'`` (:func:`lift`), so the draws, the scaling
+    and the map (:func:`dot`) run on ints, and the points stay lifted; on
+    max-times and min-times they are checked floats, with ``L = 1``.  A
+    multiplicative member that leaves the positive floats raises
+    :class:`CarrierDomainError`, a negative ``count``
+    :class:`DegenerateInputError`, and a bound or a generator of another
+    semifield or dimension :class:`TagMismatchError` or :class:`ShapeError`.
     """
     if count < 0:
         raise DegenerateInputError(f"sample count must not be negative, got {count}")
@@ -113,8 +118,8 @@ def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | Non
     if not sf.le_payload(sf.one.v, w):  # a window below one inverts to one above it
         w = sf.inv_payload(w)
     point = cone and lower == upper
-    out = [b for b in ((lower,) if point else (lower, upper))
-           if b is not None and is_regular_vector(b)][:count]
+    bounds = [b for b in ((lower,) if point else (lower, upper))
+              if b is not None and is_regular_vector(b)][:count]
     lows, highs = ([None] * n if b is None else [u for (u,) in b.p]
                    for b in (lower, upper))  # a zero entry bounds nothing
     g = () if generator is None else generator.p
@@ -127,24 +132,38 @@ def _sample_box(sf: Semifield, n: int, lower: Matrix | None, upper: Matrix | Non
               if point or lo is not None and sf.eq_payload(lo, hi)
               else (None, _draws(sf, lo, hi, w)) for lo, hi in zip(lows, highs)]
     scales = _draws(sf, None, None, w) if cone else None
-    randint, top = random.Random(seed).randint, _SAMPLE_DENOM
-    us = []  # the random points, lifted on the additive carriers
-    for _ in range(count - len(out)):
-        u = [v if draws is None else draws[randint(0, top)] for v, draws in coords]
+    getrandbits, top = random.Random(seed).getrandbits, _SAMPLE_DENOM
+    us = [[unit * v for v in (lows if b is lower else highs)] for b in bounds]
+    for _ in range(count - len(us)):
+        u = []
+        for v, draws in coords:
+            if draws is not None:
+                k = getrandbits(5)
+                while k > top:
+                    k = getrandbits(5)
+                v = draws[k]
+            u.append(v)
         if cone:
-            s = scales[randint(0, top)]
+            k = getrandbits(5)
+            while k > top:
+                k = getrandbits(5)
+            s = scales[k]
             u = ([v if v is None else s + v for v in u] if additive
                  else [v if v is None else s * v for v in u])
         us.append(u)
     if generator is not None:
-        us = [[unit * v for v in (lows if b is lower else highs)] for b in out] + us
         us = [[dot(sf, row, u) for row in g] for u in us]
-        out = []
-    if additive:
-        us = [[unlift(v, scale) for v in u] for u in us]
-    else:
+    if not additive:
         us = [[v if v is None else checked_float(v) for v in u] for u in us]
-    return out + [Matrix._raw(sf, tuple([(v,) for v in u])) for u in us]
+    return sf, us, scale
+
+
+class _Drawn:
+    """The protocol's ``sample``: the members of ``draw``, unlifted."""
+
+    def sample(self, count: int, seed: int, window) -> list[Matrix]:
+        sf, points, scale = self.draw(count, seed, window)
+        return [Matrix._raw(sf, tuple([(unlift(v, scale),) for v in u])) for u in points]
 
 
 def _vector_line(label: str, v: Matrix | None) -> str:
@@ -157,7 +176,7 @@ def _vector_line(label: str, v: Matrix | None) -> str:
 # the five solution types
 
 @dataclass(frozen=True)
-class BoxSolutionSet:
+class BoxSolutionSet(_Drawn):
     """Regular vectors between two optional bounds: {x : lower <= x <= upper}."""
 
     lower: Matrix | None
@@ -182,12 +201,12 @@ class BoxSolutionSet:
                 return bound
         raise DegenerateInputError("box has no regular bound to anchor on")
 
-    def sample(self, count: int, seed: int, window) -> list[Matrix]:
+    def draw(self, count: int, seed: int, window) -> tuple[Semifield, list[list], int]:
         bound = self.lower if self.lower is not None else self.upper
         if bound is None:
             raise DegenerateInputError("box has no bound to sample around")
-        return _sample_box(bound.sf, bound.dim, self.lower, self.upper,
-                           count, seed, window)
+        return _draw_box(bound.sf, bound.dim, self.lower, self.upper,
+                         count, seed, window)
 
     def to_dict(self) -> dict:
         return {"type": "box",
@@ -201,7 +220,7 @@ class BoxSolutionSet:
 
 
 @dataclass(frozen=True)
-class GeneratedSolutionSet:
+class GeneratedSolutionSet(_Drawn):
     """Image of a box under a generator: {G u : u regular, lower <= u <= upper}.
 
     A missing lower (upper) bound leaves u unconstrained on that side;
@@ -224,10 +243,10 @@ class GeneratedSolutionSet:
             u = ones if self.lower is None else self.lower + ones
         return self.generator @ u
 
-    def sample(self, count: int, seed: int, window) -> list[Matrix]:
+    def draw(self, count: int, seed: int, window) -> tuple[Semifield, list[list], int]:
         g = self.generator
-        return _sample_box(g.sf, g.cols, self.lower, self.upper, count, seed, window,
-                           generator=g)
+        return _draw_box(g.sf, g.cols, self.lower, self.upper, count, seed, window,
+                         generator=g)
 
     def to_dict(self) -> dict:
         return {"type": "generated",
@@ -244,7 +263,7 @@ class GeneratedSolutionSet:
 
 
 @dataclass(frozen=True)
-class RaySolution:
+class RaySolution(_Drawn):
     """All positive multiples of one regular direction vector."""
 
     direction: Matrix
@@ -254,9 +273,9 @@ class RaySolution:
     def anchor(self) -> Matrix:
         return self.direction
 
-    def sample(self, count: int, seed: int, window) -> list[Matrix]:
+    def draw(self, count: int, seed: int, window) -> tuple[Semifield, list[list], int]:
         d = self.direction
-        return _sample_box(d.sf, d.rows, d, d, count, seed, window, cone=True)
+        return _draw_box(d.sf, d.rows, d, d, count, seed, window, cone=True)
 
     def to_dict(self) -> dict:
         return {"type": "ray", "direction": encode_vector(self.direction)}
@@ -267,7 +286,7 @@ class RaySolution:
 
 
 @dataclass(frozen=True)
-class ComponentwiseFamily:
+class ComponentwiseFamily(_Drawn):
     """Solutions with one pinned coordinate and per-coordinate caps.
 
     Members are ``x`` with ``x[k] = alpha * pinned_value`` and
@@ -302,10 +321,10 @@ class ComponentwiseFamily:
         u = self._box()[1]
         return u if self.generator is None else self.generator @ u
 
-    def sample(self, count: int, seed: int, window) -> list[Matrix]:
+    def draw(self, count: int, seed: int, window) -> tuple[Semifield, list[list], int]:
         lower, upper = self._box()
-        return _sample_box(upper.sf, upper.rows, lower, upper, count, seed, window,
-                           cone=True, generator=self.generator)
+        return _draw_box(upper.sf, upper.rows, lower, upper, count, seed, window,
+                         cone=True, generator=self.generator)
 
     def to_dict(self) -> dict:
         return {"type": "componentwise",
@@ -330,7 +349,7 @@ class ComponentwiseFamily:
 
 
 @dataclass(frozen=True)
-class EmptySolutionSet:
+class EmptySolutionSet(_Drawn):
     """No solutions, with the reason the emptiness was detected."""
 
     reason: str
@@ -340,7 +359,7 @@ class EmptySolutionSet:
     def anchor(self) -> Matrix:
         raise DegenerateInputError("an empty solution set has no members")
 
-    def sample(self, count: int, seed: int, window) -> list[Matrix]:
+    def draw(self, count: int, seed: int, window) -> tuple[Semifield, list[list], int]:
         raise DegenerateInputError("cannot sample an empty solution set")
 
     def to_dict(self) -> dict:

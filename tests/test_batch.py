@@ -9,6 +9,7 @@ semantics they do not share.  Floats must agree bit for bit, exact values
 with the same type.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -341,3 +342,53 @@ def test_a_negative_sample_count_is_refused_and_zero_checks_none(sf):
             assert vr.passed
     assert types == {"BoxSolutionSet", "GeneratedSolutionSet", "RaySolution",
                      "ComponentwiseFamily"}
+
+
+def _failures(kind, data, report, samples, seed):
+    """``(feasibility, attainment)`` failures of the sampled Matrix members,
+    by ``evaluate`` and ``eq_payload`` against the reported optimum; each
+    member's flag and value also by the per-point reference."""
+    sf = report.optimum.sf
+    members = sample_solution_set(report.solution, samples, seed)
+    flags, values = PROBLEM_KINDS[kind].evaluate(data, members)
+    for x, ok, val in zip(members, flags, values):
+        assert ok is REFERENCE_FEASIBLE[kind](data, x)
+        assert _same(sf.wrap(val), REFERENCE_OBJECTIVE[kind](data, x))
+    return (tuple(i for i, ok in enumerate(flags) if not ok),
+            tuple(i for i, v in enumerate(values)
+                  if not sf.eq_payload(v, report.optimum.v)))
+
+
+@pytest.mark.parametrize("sf", ADDITIVE, ids=lambda sf: sf.tag)
+@pytest.mark.parametrize("kind", sorted(PROBLEM_KINDS))
+def test_verify_report_fails_the_members_evaluate_fails(kind, sf):
+    # verify_report checks the members as the lifted ints they are drawn as;
+    # evaluate lifts the Matrix members anew.  The optimum moved by 1/7, and
+    # h tightened by 8/7, bring in a denominator the members do not have
+    moved = sf.scalar(F(1, 7))
+    tighter = sf.scalar(F(-8, 7) if sf.maximizing else F(8, 7))
+    missed = infeasible = 0
+    for n in (1, 2, 3, 5):
+        for seed in (1, 2, 3):
+            data = generate(kind, n, seed, sf)
+            report = solve(kind, **data)
+            if report.solution is None:
+                continue
+            anchor = report.solution.anchor()
+            grid = GridSpec(tuple((anchor[i], anchor[i]) for i in range(n)), sf.scalar(1))
+            cases = [(data, report),
+                     (data, dataclasses.replace(report, optimum=report.optimum * moved))]
+            if "h" in data:
+                cases.append(({**data, "h": tighter * data["h"]}, report))
+            for case, (d, r) in enumerate(cases):
+                for samples in (0, 12):
+                    vr = verify_report(kind, d, r, grid=grid, samples=samples, seed=seed)
+                    want = _failures(kind, d, r, samples, seed)
+                    assert (vr.feasibility_failures, vr.attainment_failures) == want
+                    assert vr.samples_checked == samples
+                    if case == 0:
+                        assert want == ((), ())
+                    missed += case == 1 and len(want[1]) == samples > 0
+                    infeasible += case == 2 and bool(want[0])
+    assert missed == 4 * 3  # at every n and seed, every member misses it
+    assert infeasible or "h" not in PROBLEM_KINDS[kind].shapes

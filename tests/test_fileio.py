@@ -66,6 +66,21 @@ def test_decoded_entries_are_exact_payloads():
             "kind": "cheb_box", "p": [True], "q": [0], "g": [1], "h": [3]}))
 
 
+def test_a_bad_entry_in_the_last_row_and_column_is_named():
+    # a row decodes in one pass, and is walked again only to name the entry
+    a = [[1, 2, 3], [4, 5, 6], [7, 8, True]]
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps({"kind": "rayleigh", "A": a}))
+    assert str(err.value) == "A[2][2]: cannot use True as a max-plus carrier value"
+    assert err.value.field == "A[2][2]"
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps({"semifield": "min-times", "kind": "cheb_box",
+                                   "p": [1, 2, -3], "q": [1, 1, 1],
+                                   "g": [1, 1, 1], "h": [3, 3, 3]}))
+    assert str(err.value) == ("p[2]: min-times carrier values must be finite "
+                              "and positive, got -3")
+
+
 def test_parse_document_errors_carry_field_paths():
     base = {"kind": "cheb_box", "p": [4], "q": [0], "g": [1], "h": [3]}
 

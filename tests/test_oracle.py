@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from tropsolve import (
     verify_report,
 )
 from tropsolve.gen import generate
-from tropsolve.oracle import _BATCH, _axis, _axis_count
+from tropsolve.oracle import _BATCH
 from tropsolve.problems import PROBLEM_KINDS
 from tropsolve.systems import BoxSolutionSet, EmptySolutionSet
 
@@ -111,6 +112,22 @@ def test_multiplicative_axis_is_counted_before_it_is_built():
                        match=r"^\d+ grid points exceed the cap 200000;"):
         grid_search("rayleigh", data, grid)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS], ids=lambda sf: sf.tag)
+def test_the_memory_of_a_walk_is_bounded_by_the_batch(sf):
+    # one axis of 300,001 points: held as a list, its ints alone would take
+    # about 10 MB; a batch of lanes takes a few kB
+    data = {"A": Matrix(sf, [[0]])}
+    grid = GridSpec(((sf.scalar(0), sf.scalar(300_000)),), sf.scalar(1), cap=400_000)
+    tracemalloc.start()
+    try:
+        res = grid_search("rayleigh", data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.points_total == res.points_feasible == 300_001
+    assert peak < 2_000_000, peak
 
 
 def test_multiplicative_grid_axis():
@@ -252,10 +269,18 @@ def test_default_grid_margin():
 # the denominators; the walk on the payloads as given is its reference
 
 def _axes(grid):
-    """The payloads of the grid's axes, not lifted."""
-    sf, step = grid.step.sf, grid.step
-    return [_axis(sf, lo.v, step.v, _axis_count(sf, lo, hi, step))
-            for lo, hi in grid.intervals]
+    """The payloads of the grid's axes, not lifted: ``lo + i step`` (``lo
+    step^i`` on a multiplicative carrier) while within ``hi`` (``hi (1 +
+    1e-12)``)."""
+    sf, step = grid.step.sf, grid.step.v
+    axes = []
+    for lo, hi in grid.intervals:
+        axis, v, top = [], lo.v, hi.v if sf.additive else hi.v * (1.0 + 1e-12)
+        while v <= top:
+            axis.append(v)
+            v = v + step if sf.additive else v * step
+        axes.append(axis)
+    return axes
 
 
 def _reference_grid_search(kind, data, grid):
