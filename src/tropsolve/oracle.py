@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, inf, lcm, log, log1p, prod
@@ -110,16 +111,15 @@ def _axis(sf: Semifield, lo, step, count: int):
         itertools.repeat(step, count - 1), operator.mul, initial=lo))
 
 
-def _column(axis, later: int, expand) -> Callable[[int, int], object]:
-    """The coordinate column of one axis over the walk in product order, as
-    a function of ``(start, stop)`` that gives the points ``start`` to
-    ``stop - 1``: each payload of the axis repeated once per point of the
-    later axes (``later``), over and over.  ``expand(values, k)`` is the
-    sequence of each of ``values`` repeated ``k`` times (lane bytes, or a
-    list), and such sequences put together with ``+``.  A period of at
+def _column(axis, later: int, lanes: LaneFormat) -> Callable[[int, int], bytes]:
+    """The lane bytes of one axis's coordinate column over the walk in
+    product order, as a function of ``(start, stop)`` that gives the points
+    ``start`` to ``stop - 1``: each payload of the axis repeated once per
+    point of the later axes (``later``), over and over.  A period of at
     most :data:`_BATCH` points is expanded once and sliced; a longer one
     is expanded run by run as a batch meets it, so neither a column nor a
     long axis is held expanded."""
+    expand = lanes.lane_bytes
     count = len(axis)
     period = count * later
     if period <= _BATCH:
@@ -148,12 +148,37 @@ def _column(axis, later: int, expand) -> Callable[[int, int], object]:
     return cut
 
 
-def _repeated(values: list, k: int) -> list:
-    """Each of ``values`` repeated ``k`` times."""
-    if k == 1:
-        return values
-    return list(itertools.chain.from_iterable(
-        map(itertools.repeat, values, itertools.repeat(k))))
+def _lane_walk(pk, sf: Semifield, d: dict, axes: list, laters: list, total: int,
+               bound: int, largest: bool):
+    """``(feasible, i, value)`` for each max-plus or min-plus batch of the
+    walk that admits a point: how many it admits, and its first admitted
+    point ``i`` with the extreme value."""
+    bound = max(bound, *(abs(v) for axis in axes for v in (axis[0], axis[-1])))
+    lanes = LaneFormat(min(total, _BATCH), bound)
+    walks = [_column(axis, later, lanes) for axis, later in zip(axes, laters)]
+    for start in range(0, total, _BATCH):
+        stop = min(start + _BATCH, total)
+        if stop - start != lanes.count:
+            lanes = LaneFormat(stop - start, bound)
+        columns = tuple([lanes.lanes(cut(start, stop)) for cut in walks])
+        flags = pk.admits(sf, d, columns)
+        mask = lanes.guard if flags is True else flags
+        if not mask:  # False, or no guard bit
+            continue
+        val = pk.value(sf, d, columns)
+        if val.__class__ is Lanes:
+            i, val = lanes.best(val.v, mask, largest)
+        else:  # the same at every point: the first
+            i = lanes.first(mask)
+        yield mask.bit_count(), start + i, val
+
+
+def _count_text(count: int) -> str:
+    """``count`` in digits, or by its size past Python's int/str limit."""
+    try:
+        return str(count)
+    except ValueError:  # 10^k < 2^(bits - 1) <= count, since log10(2) > 0.30102
+        return f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
 
 
 def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
@@ -164,29 +189,29 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     or a not-found result when the grid holds no feasible point.
 
     The data become payloads once, and the points are walked in product
-    order in batches of at most :data:`_BATCH`, each coordinate column of a
-    batch cut straight from its axis (:func:`_column`): the kind's ``admits``
-    runs once on the batch, and ``value`` once more only when it admits a
-    point, so a value that would raise at a point that is not feasible is
-    never evaluated.  A point replaces the best only when ``le_payload``
-    and ``eq_payload`` say it is strictly better, so among equal values
-    the first point wins.
+    order: the kind's ``admits`` runs on each point, and ``value`` only
+    where it admits one, so a value that would raise at a point that is not
+    feasible is never evaluated.  A point replaces the best only when
+    ``le_payload`` and ``eq_payload`` say it is strictly better, so among
+    equal values the first point wins.  More points than the cap, or than
+    ``sys.maxsize``, raise :class:`GridOverflowError` before any axis is
+    built; bounds of another semifield than the step, and data of another
+    semifield, raise :class:`TagMismatchError` before any axis is counted.
 
-    On max-plus and min-plus the walk runs on ints: the data and the start
-    and step of each axis are lifted together by
-    :meth:`ProblemKind.payloads`, which keeps feasibility, every comparison
-    and the tie rule, and multiplies the value by the lcm ``L`` of their
-    denominators.  A batch coordinate is one int with a lane per point
-    (:class:`problems.LaneFormat`), joined from the bytes of each axis
-    value's lane; its flags are guard bits, counted by ``bit_count``.
+    On max-plus and min-plus the walk runs on ints, in batches of at most
+    :data:`_BATCH` points (:func:`_lane_walk`): the data and the start and
+    step of each axis are lifted together by :meth:`ProblemKind.payloads`,
+    which keeps feasibility, every comparison and the tie rule, and
+    multiplies the value by the lcm ``L`` of their denominators.  A batch
+    coordinate is one int with a lane per point
+    (:class:`problems.LaneFormat`), cut from the lane bytes of its axis
+    (:func:`_column`); its flags are guard bits, counted by ``bit_count``.
     There the order is total, so a batch's only candidate is its first
     admitted lane with the extreme value, and the point is decoded from
     its index by the mixed radix of the axis counts.  The value and
-    ``argbest`` are divided by ``L`` once.  Multiplicative carriers walk
-    lists of their float payloads as given, and every admitted value is a
-    candidate, since ``REL_TOL`` makes ``le`` intransitive.  Bounds of
-    another semifield than the step, and data of another semifield, raise
-    :class:`TagMismatchError` before any axis is counted.
+    ``argbest`` are divided by ``L`` once.  Max-times and min-times walk
+    their float payloads as given, one point at a time, and every admitted
+    value is a candidate, since ``REL_TOL`` makes ``le`` intransitive.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)
@@ -201,60 +226,30 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     counts = [_axis_count(sf, lo, hi, grid.step, grid.cap)
               for lo, hi in grid.intervals]
     total = prod(counts)
-    if total > grid.cap:
+    cap = min(grid.cap, sys.maxsize)  # the most points len() of an axis can count
+    if total > cap:
         raise GridOverflowError(
-            f"{total} grid points exceed the cap {grid.cap}; coarsen the grid "
-            f"with --step or raise grid.cap in the document")
+            f"{_count_text(total)} grid points exceed the cap {cap}; coarsen the grid "
+            f"with --step" + (" or raise grid.cap in the document" if cap < sys.maxsize
+                              else ""))
     axes = [_axis(sf, lo, step, count) for (lo, step), count in zip(starts, counts)]
     laters = [prod(counts[k + 1:]) for k in range(n)]
-    value, admits, le, eq = pk.value, pk.admits, sf.le_payload, sf.eq_payload
+    le, eq = sf.le_payload, sf.eq_payload
     minimizing = pk.sense == "min"
-    largest = minimizing != sf.maximizing  # the payload extreme that is best
     if sf.additive:
-        bound = max(bound, *(abs(v) for axis in axes for v in (axis[0], axis[-1])))
-        lanes = LaneFormat(min(total, _BATCH), bound)
-        walks = [_column(axis, later, lanes.lane_bytes) for axis, later in zip(axes, laters)]
-    else:
-        walks = [_column(axis, later, _repeated) for axis, later in zip(axes, laters)]
+        walk = _lane_walk(pk, sf, d, axes, laters, total, bound,
+                          largest=minimizing != sf.maximizing)
+    else:  # one point at a time: (1, i, value) at each admitted point i
+        walk = ((1, i, pk.value(sf, d, x)) for i, x in enumerate(itertools.product(*axes))
+                if pk.admits(sf, d, x))
     best = best_index = None
     n_feasible = 0
-    for start in range(0, total, _BATCH):
-        stop = min(start + _BATCH, total)
-        if sf.additive:
-            if stop - start != lanes.count:
-                lanes = LaneFormat(stop - start, bound)
-            columns = tuple([lanes.lanes(cut(start, stop)) for cut in walks])
-            flags = admits(sf, d, columns)
-            mask = lanes.guard if flags is True else flags
-            if not mask:  # False, or no guard bit
-                continue
-            n_feasible += mask.bit_count()
-            val = value(sf, d, columns)
-            if val.__class__ is Lanes:
-                i, val = lanes.best(val.v, mask, largest)
-            else:  # the same at every point: the first
-                i = lanes.first(mask)
-            candidates = ((i, val),)
-        else:
-            columns = tuple([cut(start, stop) for cut in walks])
-            index = range(stop - start)
-            flags = admits(sf, d, columns)
-            if flags is False:
-                continue
-            if flags is not True:
-                index = list(itertools.compress(index, flags))
-                columns = tuple([list(itertools.compress(c, flags)) for c in columns])
-                if not index:
-                    continue
-            n_feasible += len(index)
-            vals = value(sf, d, columns)
-            candidates = zip(index, vals if vals.__class__ is list
-                             else itertools.repeat(vals, 1))
-        for i, val in candidates:
-            if best_index is None or (
-                    (le(val, best) if minimizing else le(best, val))
-                    and not eq(val, best)):
-                best, best_index = val, start + i
+    for feasible, i, val in walk:
+        n_feasible += feasible
+        if best_index is None or (
+                (le(val, best) if minimizing else le(best, val))
+                and not eq(val, best)):
+            best, best_index = val, i
     if best_index is None:
         return GridResult(False, None, None, total, n_feasible)
     argbest = Matrix._raw(sf, tuple(

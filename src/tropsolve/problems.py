@@ -14,29 +14,26 @@ rows of it too, without A.
 A batch ``X`` is a tuple of n coordinates over points that share one zero
 pattern (a regular point has none).  At such points the zero pattern of
 every intermediate (``A x``, ``x-``, ``B x + g``, ...) depends only on the
-data, so an entry of the batch algebra below is one of three forms: ``None``,
-the zero at every point; a payload, the same at every point; or the
-payloads over the points.  On max-plus and min-plus, whose payloads are
-lifted to ints first (:meth:`ProblemKind.payloads`), those are
-:class:`Lanes`, one int with a lane per point (:class:`LaneFormat`), on
-which the product, the sum (``max`` / ``min``), the inverse and the order
-are each a few big-int operations over every point at once, and flags are
-the lanes' guard bits.  On max-times and min-times they are a list, and
-each operation maps the rule of :class:`Semifield` over it, so the
-``REL_TOL`` tie rule and the underflow errors are those of one point;
-flags are a list of booleans.  Flags the same at every point are ``True``
-or ``False``.  Each operation dispatches on the forms once.  A
+data, so an entry of the batch algebra below is ``None``, the zero at every
+point, a payload, the same at every point, or :class:`Lanes`.  Entries
+without lanes go through the payload rules of :class:`Semifield`.  On
+max-plus and min-plus, whose payloads are lifted to ints first
+(:meth:`ProblemKind.payloads`), a coordinate is one int with a lane per
+point (:class:`LaneFormat`), on which the product, the sum (``max`` /
+``min``), the inverse and the order are each a few big-int operations over
+every point at once, and flags are the lanes' guard bits; flags the same
+at every point are ``True`` or ``False``.  On max-times and min-times a
+batch is one point, so the ``REL_TOL`` tie rule and the underflow errors
+are those of :class:`Semifield` as they stand, and flags are booleans.  A
 row-times-column product takes the first strictly best product, as
 :func:`linalg.dot` does.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import repeat
 from typing import Callable, Sequence
 
 from . import solvers
@@ -54,9 +51,9 @@ class ProblemKind:
     scalar.  Equal letters must bind to equal sizes, and ``n`` is the
     dimension of the unknown x.  The solver takes each input as the keyword
     argument of the same name in lower case.  ``value`` returns an entry of
-    the batch algebra and ``admits`` one of flags (``True``, ``False`` or a
-    list of them); :meth:`check` runs them on members lifted as a
-    solution set draws them, and :meth:`evaluate` on Matrix members.
+    the batch algebra and ``admits`` one of flags (``True``, ``False`` or
+    guard bits); :meth:`check` runs them on members lifted as a solution
+    set draws them, and :meth:`evaluate` on Matrix members.
     ``objective(data, x)`` and ``feasible(data, x)`` are a batch of one
     member through the same check, with Matrix and Scalar data, possibly
     only the inputs the semantics reads; they are fields so that a
@@ -164,8 +161,8 @@ class ProblemKind:
         scale``, so that one :func:`linalg.lift` brings them to a multiple
         ``L`` of the members' scale; the points, multiplied by ``L / scale``
         when that is not one, are packed into one batch per zero pattern.
-        On max-times and min-times ``scale`` and ``L`` are 1.  No points
-        give empty lists."""
+        On max-times and min-times ``scale`` and ``L`` are 1, and each point
+        is a batch of one.  No points give empty lists."""
         oks = [None] * len(points) if flags else None
         vals = [None] * len(points) if values else None
         if not points:
@@ -178,12 +175,15 @@ class ProblemKind:
         if sf.additive:
             bound = max(bound, max((abs(v) for p in points for v in p if v is not None),
                                    default=0))
-        groups: dict[tuple | bool, list[int]] = {}  # a regular point's key is False
-        for i, point in enumerate(points):
-            groups.setdefault(None in point and tuple([v is None for v in point]),
-                              []).append(i)
-        for group in groups.values():
-            batch, lanes = _transpose(sf, [points[i] for i in group], bound)
+            groups: dict[tuple | bool, list[int]] = {}  # a regular point's key is False
+            for i, point in enumerate(points):
+                groups.setdefault(None in point and tuple([v is None for v in point]),
+                                  []).append(i)
+            batches = [(group, *_transpose([points[i] for i in group], bound))
+                       for group in groups.values()]
+        else:
+            batches = [((i,), point, None) for i, point in enumerate(points)]
+        for group, batch, lanes in batches:
             if flags:
                 for i, ok in zip(group, _flags(self.admits(sf, d, batch), len(group), lanes)):
                     oks[i] = ok
@@ -226,30 +226,26 @@ def _column(v: Matrix) -> tuple:
     return tuple(r[0] for r in v.p)
 
 
-def _transpose(sf: Semifield, points: list[tuple], bound) -> tuple:
-    """``(batch, lanes)``: the batch of payload tuples with one zero pattern,
-    per coordinate ``None`` or its payloads packed by the batch's
-    :class:`LaneFormat` ``lanes`` on max-plus and min-plus (``bound`` as
-    there), as a list on the other carriers, where ``lanes`` is ``None``."""
-    columns = list(zip(*points))
-    if not sf.additive:
-        return tuple([None if c[0] is None else list(c) for c in columns]), None
+def _transpose(points: list[tuple], bound: int) -> tuple:
+    """``(batch, lanes)``: the max-plus or min-plus batch of payload tuples
+    with one zero pattern, per coordinate ``None`` or its payloads packed by
+    the batch's :class:`LaneFormat` ``lanes`` (``bound`` as there)."""
     lanes = LaneFormat(len(points), bound)
-    return tuple([None if c[0] is None else lanes.pack(c) for c in columns]), lanes
+    return tuple([None if c[0] is None else lanes.pack(c) for c in zip(*points)]), lanes
 
 
 def _values(entry, count: int) -> list:
     """An entry of a batch of ``count`` points as a list of payloads."""
     if entry.__class__ is Lanes:
         return entry.format.unpack(entry.v)
-    return entry if entry.__class__ is list else [entry] * count
+    return [entry] * count
 
 
 def _flags(flags, count: int, lanes) -> list:
     """The flags of a batch of ``count`` points as a list."""
     if flags.__class__ is bool:
         return [flags] * count
-    return flags if flags.__class__ is list else lanes.admitted(flags)
+    return lanes.admitted(flags)
 
 
 # ----------------------------------------------------------------------
@@ -403,17 +399,8 @@ class LaneFormat:
 
 
 # ----------------------------------------------------------------------
-# the batch algebra: entries None, a payload, lanes (max-plus and min-plus)
-# or a list over the batch (max-times and min-times)
-
-def _map(op, u, v):
-    """``op`` over two present entries: a list when either is one."""
-    if u.__class__ is list:
-        return list(map(op, u, v if v.__class__ is list else repeat(v)))
-    if v.__class__ is list:
-        return list(map(op, repeat(u), v))
-    return op(u, v)
-
+# the batch algebra: entries None, a payload or lanes (max-plus and
+# min-plus); entries without lanes go through the rules of Semifield
 
 def _format(u, v) -> LaneFormat | None:
     """The lane format of ``u`` or ``v``; ``None`` when neither has lanes."""
@@ -424,25 +411,17 @@ def _mul(sf: Semifield, u, v):
     """``u v``."""
     if u is None or v is None:
         return None
-    if not sf.additive:
-        return _map(operator.mul, u, v)
     lanes = _format(u, v)
-    return u + v if lanes is None else lanes.times(u, v)
+    return sf.mul_payload(u, v) if lanes is None else lanes.times(u, v)
 
 
 def _add(sf: Semifield, u, v):
     """``u + v``; on max-times and min-times a tie within ``REL_TOL``
     keeps ``v``, as :meth:`Semifield.add_payload` does."""
-    if u is None:
-        return v
-    if v is None:
-        return u
-    if not sf.additive:
-        return _map(sf.add_payload, u, v)
+    if u is None or v is None:
+        return u if v is None else v
     lanes = _format(u, v)
-    if lanes is None:
-        return max(u, v) if sf.maximizing else min(u, v)
-    return lanes.plus(u, v, sf.maximizing)
+    return sf.add_payload(u, v) if lanes is None else lanes.plus(u, v, sf.maximizing)
 
 
 def _dot(sf: Semifield, u, v):
@@ -452,12 +431,9 @@ def _dot(sf: Semifield, u, v):
     terms = [_mul(sf, a, b) for a, b in zip(u, v) if a is not None and b is not None]
     if len(terms) < 2:
         return terms[0] if terms else None
-    if sf.additive:  # ints: the best is the first best
+    if any(t.__class__ is Lanes for t in terms):
         return reduce(partial(_add, sf), terms)
-    best = max if sf.maximizing else min
-    if all(t.__class__ is not list for t in terms):
-        return best(terms)
-    return list(map(best, *[t if t.__class__ is list else repeat(t) for t in terms]))
+    return (max if sf.maximizing else min)(terms)
 
 
 def _apply(sf: Semifield, a, x) -> tuple:
@@ -467,11 +443,7 @@ def _apply(sf: Semifield, a, x) -> tuple:
 
 def _inv(sf: Semifield, v):
     """The inverse of a present entry."""
-    if v.__class__ is Lanes:
-        return v.format.inverse(v)
-    if v.__class__ is list:
-        return list(map(sf.inv_payload, v))
-    return sf.inv_payload(v)
+    return v.format.inverse(v) if v.__class__ is Lanes else sf.inv_payload(v)
 
 
 def _conj(sf: Semifield, y) -> tuple:
@@ -484,12 +456,10 @@ def _conj(sf: Semifield, y) -> tuple:
 
 def _le(sf: Semifield, a, b):
     """The flags of ``a <= b`` for present entries."""
-    if not sf.additive:
-        return _map(sf.le_payload, a, b)
     lanes = _format(a, b)
-    if sf.maximizing:
-        return a <= b if lanes is None else lanes.at_least(b, a)
-    return b <= a if lanes is None else lanes.at_least(a, b)
+    if lanes is None:
+        return sf.le_payload(a, b)
+    return lanes.at_least(b, a) if sf.maximizing else lanes.at_least(a, b)
 
 
 def _below(sf: Semifield, u, v):
@@ -505,12 +475,12 @@ def _below(sf: Semifield, u, v):
 
 
 def _both(f, g):
-    """The flags of ``f and g``: guard bits on max-plus and min-plus."""
+    """The flags of ``f and g``: ``True``, ``False`` or guard bits."""
     if f is True or g is False:
         return g
     if g is True or f is False:
         return f
-    return list(map(operator.and_, f, g)) if f.__class__ is list else f & g
+    return f & g
 
 
 def _spread(sf: Semifield, upper, lower=None):

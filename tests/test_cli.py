@@ -135,6 +135,47 @@ def test_verify_counts_the_grid_before_building_it(tmp_path, capsys):
         "error: 2000000001 grid points exceed the cap 200000")
 
 
+def _verify_in_process(path, capsys, *args) -> str:
+    """The stderr of an in-process ``verify`` that must exit 3 within 1 s,
+    checked to be one ``error:`` line."""
+    from tropsolve.cli import main
+    start = time.perf_counter()
+    assert main(["verify", str(path), *args]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_verify_refuses_a_grid_past_sys_maxsize(tmp_path, capsys):
+    # min-plus span_min_constrained (gen seed 0, n = 3) with D[0][0] = -2^70
+    # is infeasible, and its data-span grid holds about 2.8e66 points:
+    # within the raised cap, but past what len() of an axis can count
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "kind": "span_min_constrained", "semifield": "min-plus",
+        "C": [[1, None, 2], [-1, 0, -2], [-1, None, None]],
+        "D": [[-2 ** 70, 7, 2], [None, None, 3], [-1, 3, 1]],
+        "grid": {"cap": 1e308}}))
+    err = _verify_in_process(path, capsys, "--json")
+    assert f" grid points exceed the cap {sys.maxsize};" in err
+
+
+def test_verify_states_a_grid_count_past_the_digit_limit_by_its_size(tmp_path, capsys):
+    # min-plus rayleigh_two_constraints (gen seed 1, n = 3) with h raised to
+    # 50 and a 4300-digit A[0][0] is infeasible, and its data-span grid
+    # count has more digits than Python prints
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "kind": "rayleigh_two_constraints", "semifield": "min-plus",
+        "A": [[int("9" * 4300), -4, 2], [2, -2, None], [None, 1, -5]],
+        "B": [[3, 2, 0], [-1, None, -1], [5, 5, 7]],
+        "C": [[2, 3, -2], [2, -5, 3], [-4, None, -1]],
+        "g": [None, 3, 1], "h": [50, 50, 50]}))
+    err = _verify_in_process(path, capsys)
+    assert err.startswith("error: more than 10^12902 grid points exceed the cap 200000;")
+
+
 def test_verify_bounds_the_sample_count_by_the_grid_cap(tmp_path, capsys):
     from tropsolve.cli import main
     path = tmp_path / "many.json"
