@@ -27,7 +27,7 @@ from .errors import (
     TagMismatchError,
 )
 from .linalg import Matrix, unlift
-from .problems import PROBLEM_KINDS, LaneFormat, Lanes
+from .problems import PROBLEM_KINDS, LaneFormat
 from .semifield import Scalar, Semifield
 from .solvers import INFEASIBLE, OptimumReport
 
@@ -154,22 +154,20 @@ def _lane_walk(pk, sf: Semifield, d: dict, axes: list, laters: list, total: int,
     walk that admits a point: how many it admits, and its first admitted
     point ``i`` with the extreme value."""
     bound = max(bound, *(abs(v) for axis in axes for v in (axis[0], axis[-1])))
-    lanes = LaneFormat(min(total, _BATCH), bound)
+    lanes = LaneFormat(min(total, _BATCH), bound, sf.maximizing)
+    filled = lanes.fill(d)
     walks = [_column(axis, later, lanes) for axis, later in zip(axes, laters)]
     for start in range(0, total, _BATCH):
         stop = min(start + _BATCH, total)
         if stop - start != lanes.count:
-            lanes = LaneFormat(stop - start, bound)
+            lanes = LaneFormat(stop - start, bound, sf.maximizing)
+            filled = lanes.fill(d)
         columns = tuple([lanes.lanes(cut(start, stop)) for cut in walks])
-        flags = pk.admits(sf, d, columns)
+        flags = pk.admits(lanes, filled, columns)
         mask = lanes.guard if flags is True else flags
         if not mask:  # False, or no guard bit
             continue
-        val = pk.value(sf, d, columns)
-        if val.__class__ is Lanes:
-            i, val = lanes.best(val.v, mask, largest)
-        else:  # the same at every point: the first
-            i = lanes.first(mask)
+        i, val = lanes.best(pk.value(lanes, filled, columns), mask, largest)
         yield mask.bit_count(), start + i, val
 
 
@@ -202,16 +200,18 @@ def grid_search(kind: str, data: dict, grid: GridSpec) -> GridResult:
     :data:`_BATCH` points (:func:`_lane_walk`): the data and the start and
     step of each axis are lifted together by :meth:`ProblemKind.payloads`,
     which keeps feasibility, every comparison and the tie rule, and
-    multiplies the value by the lcm ``L`` of their denominators.  A batch
-    coordinate is one int with a lane per point
-    (:class:`problems.LaneFormat`), cut from the lane bytes of its axis
-    (:func:`_column`); its flags are guard bits, counted by ``bit_count``.
-    There the order is total, so a batch's only candidate is its first
-    admitted lane with the extreme value, and the point is decoded from
-    its index by the mixed radix of the axis counts.  The value and
-    ``argbest`` are divided by ``L`` once.  Max-times and min-times walk
-    their float payloads as given, one point at a time, and every admitted
-    value is a candidate, since ``REL_TOL`` makes ``le`` intransitive.
+    multiplies the value by the lcm ``L`` of their denominators.  The
+    batch's :class:`problems.LaneFormat` is the algebra ``value`` and
+    ``admits`` compute on, with the data filled into its lanes once: a
+    batch coordinate is one int with a lane per point, cut from the lane
+    bytes of its axis (:func:`_column`), and its flags are guard bits,
+    counted by ``bit_count``.  There the order is total, so a batch's only
+    candidate is its first admitted lane with the extreme value, and the
+    point is decoded from its index by the mixed radix of the axis counts.
+    The value and ``argbest`` are divided by ``L`` once.  Max-times and
+    min-times walk their float payloads as given, one point at a time, on
+    the Semifield as their algebra, and every admitted value is a
+    candidate, since ``REL_TOL`` makes ``le`` intransitive.
     """
     pk = PROBLEM_KINDS[kind]
     n = pk.dim(data)

@@ -2,8 +2,8 @@
 
 Each :class:`ProblemKind` names its inputs with their declared shapes, its
 closed-form solver, and the problem's semantics, stated once over batches of
-points and independently of the closed forms: ``value(sf, d, X)`` is the
-objective and ``admits(sf, d, X)`` the feasibility over a batch ``X``.  The
+points and independently of the closed forms: ``value(alg, d, X)`` is the
+objective and ``admits(alg, d, X)`` the feasibility over a batch ``X``.  The
 solvers, the document reader and writer and the oracle all go through this
 table; the oracle evaluates the semantics on the grid and on sampled
 solution-set members, so a bug in a solver formula cannot hide behind
@@ -14,17 +14,17 @@ rows of it too, without A.
 A batch ``X`` is a tuple of n coordinates over points that share one zero
 pattern (a regular point has none).  At such points the zero pattern of
 every intermediate (``A x``, ``x-``, ``B x + g``, ...) depends only on the
-data, so an entry of the batch algebra below is ``None``, the zero at every
-point, a payload, the same at every point, or :class:`Lanes`.  Entries
-without lanes go through the payload rules of :class:`Semifield`.  On
-max-plus and min-plus, whose payloads are lifted to ints first
-(:meth:`ProblemKind.payloads`), a coordinate is one int with a lane per
-point (:class:`LaneFormat`), on which the product, the sum (``max`` /
-``min``), the inverse and the order are each a few big-int operations over
-every point at once, and flags are the lanes' guard bits; flags the same
-at every point are ``True`` or ``False``.  On max-times and min-times a
-batch is one point, so the ``REL_TOL`` tie rule and the underflow errors
-are those of :class:`Semifield` as they stand, and flags are booleans.  A
+data, so an entry is ``None``, the zero at every point, or a value of the
+batch's algebra ``alg``, which answers the payload rules of
+:class:`Semifield` under their names.  On max-times and min-times a batch
+is one point and ``alg`` the Semifield, so the ``REL_TOL`` tie rule and the
+underflow errors are its own, and flags are booleans.  On max-plus and
+min-plus, whose payloads are lifted to ints first
+(:meth:`ProblemKind.payloads`), ``alg`` is the batch's
+:class:`LaneFormat`: a coordinate is one int with a lane per point, into
+which the data are filled once per format, each rule is a few big-int
+operations over every point at once, and flags are the lanes' guard bits.
+Flags the same at every point are ``True`` or ``False``.  A
 row-times-column product takes the first strictly best product, as
 :func:`linalg.dot` does.
 """
@@ -50,10 +50,11 @@ class ProblemKind:
     for a matrix (rows, columns), one for a column vector, none for a
     scalar.  Equal letters must bind to equal sizes, and ``n`` is the
     dimension of the unknown x.  The solver takes each input as the keyword
-    argument of the same name in lower case.  ``value`` returns an entry of
-    the batch algebra and ``admits`` one of flags (``True``, ``False`` or
-    guard bits); :meth:`check` runs them on members lifted as a solution
-    set draws them, and :meth:`evaluate` on Matrix members.
+    argument of the same name in lower case.  ``value(alg, d, X)`` returns
+    an entry of the batch's algebra ``alg`` and ``admits(alg, d, X)`` its
+    flags (``True`` or ``False``, or guard bits on lanes); :meth:`check`
+    runs them on members lifted as a solution set
+    draws them, and :meth:`evaluate` on Matrix members.
     ``objective(data, x)`` and ``feasible(data, x)`` are a batch of one
     member through the same check, with Matrix and Scalar data, possibly
     only the inputs the semantics reads; they are fields so that a
@@ -64,8 +65,8 @@ class ProblemKind:
     sense: str  # "min" | "max"
     shapes: dict[str, str]
     solver: Callable[..., solvers.OptimumReport]
-    value: Callable[[Semifield, dict, tuple], object]
-    admits: Callable[[Semifield, dict, tuple], object]
+    value: Callable[[Semifield | LaneFormat, dict, tuple], object]
+    admits: Callable[[Semifield | LaneFormat, dict, tuple], object]
     objective: Callable[[dict, Matrix], Scalar] = field(
         default=None, repr=False, compare=False)
     feasible: Callable[[dict, Matrix], bool] = field(
@@ -160,9 +161,10 @@ class ProblemKind:
         The data go through :meth:`payloads` with the one row ``1 /
         scale``, so that one :func:`linalg.lift` brings them to a multiple
         ``L`` of the members' scale; the points, multiplied by ``L / scale``
-        when that is not one, are packed into one batch per zero pattern.
-        On max-times and min-times ``scale`` and ``L`` are 1, and each point
-        is a batch of one.  No points give empty lists."""
+        when that is not one, are packed into one batch per zero pattern,
+        each with its own :class:`LaneFormat`.  On max-times and min-times
+        ``scale`` and ``L`` are 1, and each point is a batch of one.  No
+        points give empty lists."""
         oks = [None] * len(points) if flags else None
         vals = [None] * len(points) if values else None
         if not points:
@@ -172,23 +174,29 @@ class ProblemKind:
         if lifted != scale:
             k = lifted // scale
             points = [[None if v is None else k * v for v in p] for p in points]
-        if sf.additive:
-            bound = max(bound, max((abs(v) for p in points for v in p if v is not None),
-                                   default=0))
-            groups: dict[tuple | bool, list[int]] = {}  # a regular point's key is False
+        if not sf.additive:  # a batch of one point each
             for i, point in enumerate(points):
-                groups.setdefault(None in point and tuple([v is None for v in point]),
-                                  []).append(i)
-            batches = [(group, *_transpose([points[i] for i in group], bound))
-                       for group in groups.values()]
-        else:
-            batches = [((i,), point, None) for i, point in enumerate(points)]
-        for group, batch, lanes in batches:
+                if flags:
+                    oks[i] = self.admits(sf, d, point)
+                if values:
+                    vals[i] = self.value(sf, d, point)
+            return oks, vals, lifted
+        bound = max(bound, max((abs(v) for p in points for v in p if v is not None),
+                               default=0))
+        groups: dict[tuple | bool, list[int]] = {}  # a regular point's key is False
+        for i, point in enumerate(points):
+            groups.setdefault(None in point and tuple([v is None for v in point]),
+                              []).append(i)
+        for group in groups.values():
+            lanes = LaneFormat(len(group), bound, sf.maximizing)
+            filled = lanes.fill(d)
+            batch = tuple([None if c[0] is None else lanes.pack(c)
+                           for c in zip(*[points[i] for i in group])])
             if flags:
-                for i, ok in zip(group, _flags(self.admits(sf, d, batch), len(group), lanes)):
+                for i, ok in zip(group, lanes.admitted(self.admits(lanes, filled, batch))):
                     oks[i] = ok
             if values:
-                for i, val in zip(group, _values(self.value(sf, d, batch), len(group))):
+                for i, val in zip(group, lanes.unpack(self.value(lanes, filled, batch))):
                     vals[i] = val
         return oks, vals, lifted
 
@@ -226,28 +234,6 @@ def _column(v: Matrix) -> tuple:
     return tuple(r[0] for r in v.p)
 
 
-def _transpose(points: list[tuple], bound: int) -> tuple:
-    """``(batch, lanes)``: the max-plus or min-plus batch of payload tuples
-    with one zero pattern, per coordinate ``None`` or its payloads packed by
-    the batch's :class:`LaneFormat` ``lanes`` (``bound`` as there)."""
-    lanes = LaneFormat(len(points), bound)
-    return tuple([None if c[0] is None else lanes.pack(c) for c in zip(*points)]), lanes
-
-
-def _values(entry, count: int) -> list:
-    """An entry of a batch of ``count`` points as a list of payloads."""
-    if entry.__class__ is Lanes:
-        return entry.format.unpack(entry.v)
-    return [entry] * count
-
-
-def _flags(flags, count: int, lanes) -> list:
-    """The flags of a batch of ``count`` points as a list."""
-    if flags.__class__ is bool:
-        return [flags] * count
-    return lanes.admitted(flags)
-
-
 # ----------------------------------------------------------------------
 # packed lanes: a max-plus or min-plus batch coordinate as one int
 
@@ -258,41 +244,33 @@ def _flags(flags, count: int, lanes) -> list:
 _FACTORS = 6
 
 
-class Lanes:
-    """A batch entry on max-plus and min-plus: the packed int ``v`` of a
-    :class:`LaneFormat`."""
-
-    __slots__ = ("v", "format")
-
-    def __init__(self, v: int, format: LaneFormat):
-        self.v = v
-        self.format = format
-
-
 class LaneFormat:
-    """The lanes of one max-plus or min-plus batch of ``count`` points.
+    """The algebra of one max-plus or min-plus batch of ``count`` points.
 
-    A batch coordinate is one Python int with a ``width``-bit lane per
-    point, point i in bits ``[i W, (i + 1) W)``, packed and unpacked as
-    little-endian bytes.  A lane holds the payload plus the bias ``2^(W-2)``
-    and leaves its top bit, the guard, clear; ``W``, a multiple of 8, makes
-    room for ``_FACTORS`` times ``bound``, the largest magnitude of the
-    lifted payloads, so that no intermediate leaves ``(-2^(W-2),
-    2^(W-2))``, at any size.  The ``+`` of two such ints then never carries
-    from a lane into the next, and the semiring operations are a few
-    big-int operations over every lane at once: ``u v`` is an addition
-    (less one bias), ``u-`` a subtraction, and ``a >= b`` is the guard bit
-    of ``(a | guard) - b``, from which ``max`` / ``min`` select each lane
-    with ``b ^ ((a ^ b) & mask)`` (Lamport, "Multiple byte processing with
-    full-word instructions", CACM 1975).  Flags are guard bits.  A product
-    or inverse that leaves the range, which the bound rules out, raises
+    An entry is ``None``, the zero in every lane, or one Python int with a
+    ``width``-bit lane per point, point i in bits ``[i W, (i + 1) W)``,
+    packed and unpacked as little-endian bytes.  A lane holds the payload
+    plus the bias ``2^(W-2)`` and leaves its top bit, the guard, clear;
+    ``W``, a multiple of 8, makes room for ``_FACTORS`` times ``bound``,
+    the largest magnitude of the lifted payloads, so that no intermediate
+    leaves ``(-2^(W-2), 2^(W-2))``, at any size.  The ``+`` of two such
+    ints then never carries from a lane into the next, and the payload
+    rules of :class:`Semifield`, which the format answers under their names
+    in the order of its carrier (``maximizing``), are a few big-int
+    operations over every lane at once: ``u v`` is an addition (less one
+    bias), ``u-`` a subtraction, and ``a >= b`` is the guard bit of ``(a |
+    guard) - b``, from which ``max`` / ``min`` select each lane with ``b ^
+    ((a ^ b) & mask)`` (Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975).  Flags are guard bits.  A product or inverse
+    that leaves the range, which the bound rules out, raises
     :class:`InvariantError`.
     """
 
-    __slots__ = ("count", "size", "width", "bias", "ones", "guard", "biased")
+    __slots__ = ("count", "maximizing", "size", "width", "bias", "ones", "guard", "biased")
 
-    def __init__(self, count: int, bound: int):
+    def __init__(self, count: int, bound: int, maximizing: bool):
         self.count = count
+        self.maximizing = maximizing
         self.size = size = ((_FACTORS * bound).bit_length() + 9) // 8  # bytes per lane
         self.width = width = 8 * size
         self.bias = 1 << (width - 2)
@@ -308,47 +286,67 @@ class LaneFormat:
         bias, size = self.bias, self.size
         return b"".join([(v + bias).to_bytes(size, "little") * repeat for v in payloads])
 
-    def lanes(self, raw: bytes) -> Lanes:
+    def lanes(self, raw: bytes) -> int:
         """The entry of the ``count`` lanes in ``raw``."""
-        return Lanes(int.from_bytes(raw, "little"), self)
+        return int.from_bytes(raw, "little")
 
-    def pack(self, payloads) -> Lanes:
+    def pack(self, payloads) -> int:
         """The entry with one lane per payload."""
         return self.lanes(self.lane_bytes(payloads))
 
-    def unpack(self, v: int) -> list[int]:
+    def fill(self, d: dict) -> dict:
+        """The inputs ``d`` as :meth:`ProblemKind.payloads` gives them, each
+        payload in every lane."""
+        def fill(v):
+            if v.__class__ is tuple:
+                return tuple([fill(e) for e in v])
+            return None if v is None else self.ones * v + self.biased
+        return {name: fill(v) for name, v in d.items()}
+
+    def unpack(self, v: int | None) -> list:
         """The payloads of the lanes of ``v``."""
+        if v is None:
+            return [None] * self.count
         raw, size, bias = v.to_bytes(self.count * self.size, "little"), self.size, self.bias
         return [int.from_bytes(raw[i:i + size], "little") - bias
                 for i in range(0, len(raw), size)]
 
-    def admitted(self, mask: int) -> list[bool]:
-        """The flags of the guard bits of ``mask``: the top bit of each
-        lane's last byte."""
-        raw = mask.to_bytes(self.count * self.size, "little")
+    def admitted(self, flags) -> list[bool]:
+        """``flags``, ``True``, ``False`` or guard bits, as a list: a guard
+        bit is the top bit of its lane's last byte."""
+        if flags.__class__ is bool:
+            return [flags] * self.count
+        raw = flags.to_bytes(self.count * self.size, "little")
         return [byte > 127 for byte in raw[self.size - 1::self.size]]
 
-    # the semiring on entries, one of them lanes and the other lanes or a
-    # payload, which stands in every lane
+    # the payload rules of Semifield, lane by lane
 
-    def times(self, u, v) -> Lanes:
+    def mul_payload(self, u, v):
         """``u v``: the lanes added."""
-        if u.__class__ is not Lanes:
-            u, v = v, u
-        return self._checked(u.v + (v.v - self.biased if v.__class__ is Lanes
-                                    else self.ones * v))
+        if u is None or v is None:
+            return None
+        return self._checked(u + v - self.biased)
 
-    def inverse(self, u: Lanes) -> Lanes:
+    def add_payload(self, u, v):
+        """``u + v``: the larger (or, unless ``maximizing``, the lesser) in
+        each lane."""
+        if u is None or v is None:
+            return u if v is None else v
+        return self._pick(u, v, self.maximizing, self.guard)
+
+    def inv_payload(self, u: int) -> int:
         """``u-``: every lane negated."""
-        return self._checked((self.biased << 1) - u.v)
+        return self._checked((self.biased << 1) - u)
 
-    def plus(self, u, v, largest: bool) -> Lanes:
-        """The larger (or the lesser) of ``u`` and ``v`` in each lane."""
-        return Lanes(self._pick(self._packed(u), self._packed(v), largest, self.guard), self)
-
-    def at_least(self, u, v) -> int:
-        """The flags of ``u >= v``, lane by lane."""
-        return self._at_least(self._packed(u), self._packed(v), self.guard)
+    def le_payload(self, u, v) -> int:
+        """The flags of ``u <= v`` in the carrier order, lane by lane."""
+        if u is None:  # the zero is the least element
+            return self.guard
+        if v is None:
+            return 0
+        if self.maximizing:
+            return self._at_least(v, u, self.guard)
+        return self._at_least(u, v, self.guard)
 
     # guard-bit masks
 
@@ -356,11 +354,14 @@ class LaneFormat:
         """The index of the first lane whose guard bit ``mask`` sets."""
         return ((mask & -mask).bit_length() - 1) // self.width
 
-    def best(self, v: int, mask: int, largest: bool) -> tuple[int, int]:
+    def best(self, v, mask: int, largest: bool) -> tuple[int, int | None]:
         """``(i, x)``: the first lane i among the guard bits of ``mask``
         whose payload x is the largest of theirs (the least unless
-        ``largest``).  The other lanes are filled with a value that beats
-        none, and the lanes are folded in halves down to one."""
+        ``largest``); the first of them when ``v`` is ``None``.  The other
+        lanes are filled with a value that beats none, and the lanes are
+        folded in halves down to one."""
+        if v is None:
+            return self.first(mask), None
         width, guard, ones = self.width, self.guard, self.ones
         fill = 0 if largest else (1 << (width - 1)) - 1  # one lane
         w = fill * ones
@@ -376,13 +377,10 @@ class LaneFormat:
         hits = guard & ~(((v ^ (w * ones)) | guard) - ones) & mask  # lanes equal to w
         return self.first(hits), w - self.bias
 
-    def _packed(self, u) -> int:
-        return u.v if u.__class__ is Lanes else self.ones * u + self.biased
-
-    def _checked(self, v: int) -> Lanes:
+    def _checked(self, v: int) -> int:
         if v < 0 or v & self.guard:
             raise InvariantError("a lane of a packed batch overflowed its width")
-        return Lanes(v, self)
+        return v
 
     def _widened(self, mask: int) -> int:
         """Every bit below the guard of each lane whose guard bit ``mask`` sets."""
@@ -399,70 +397,35 @@ class LaneFormat:
 
 
 # ----------------------------------------------------------------------
-# the batch algebra: entries None, a payload or lanes (max-plus and
-# min-plus); entries without lanes go through the rules of Semifield
+# the batch algebra ``alg``: the Semifield at a max-times or min-times
+# point, the batch's LaneFormat on max-plus and min-plus
 
-def _format(u, v) -> LaneFormat | None:
-    """The lane format of ``u`` or ``v``; ``None`` when neither has lanes."""
-    return u.format if u.__class__ is Lanes else v.format if v.__class__ is Lanes else None
-
-
-def _mul(sf: Semifield, u, v):
-    """``u v``."""
-    if u is None or v is None:
-        return None
-    lanes = _format(u, v)
-    return sf.mul_payload(u, v) if lanes is None else lanes.times(u, v)
-
-
-def _add(sf: Semifield, u, v):
-    """``u + v``; on max-times and min-times a tie within ``REL_TOL``
-    keeps ``v``, as :meth:`Semifield.add_payload` does."""
-    if u is None or v is None:
-        return u if v is None else v
-    lanes = _format(u, v)
-    return sf.add_payload(u, v) if lanes is None else lanes.plus(u, v, sf.maximizing)
-
-
-def _dot(sf: Semifield, u, v):
+def _dot(alg, u, v):
     """A row ``u`` times a column ``v``: at each point the first strictly
     best present product, as :func:`linalg.dot`; ``None`` when no product
-    is present."""
-    terms = [_mul(sf, a, b) for a, b in zip(u, v) if a is not None and b is not None]
+    is present.  On lanes, whose order is exact, that is their sum."""
+    terms = [t for t in map(alg.mul_payload, u, v) if t is not None]
     if len(terms) < 2:
         return terms[0] if terms else None
-    if any(t.__class__ is Lanes for t in terms):
-        return reduce(partial(_add, sf), terms)
-    return (max if sf.maximizing else min)(terms)
+    if alg.__class__ is LaneFormat:
+        return reduce(alg.add_payload, terms)
+    return (max if alg.maximizing else min)(terms)
 
 
-def _apply(sf: Semifield, a, x) -> tuple:
+def _apply(alg, a, x) -> tuple:
     """``A x`` for payload rows ``a``."""
-    return tuple([_dot(sf, row, x) for row in a])
+    return tuple([_dot(alg, row, x) for row in a])
 
 
-def _inv(sf: Semifield, v):
-    """The inverse of a present entry."""
-    return v.format.inverse(v) if v.__class__ is Lanes else sf.inv_payload(v)
-
-
-def _conj(sf: Semifield, y) -> tuple:
+def _conj(alg, y) -> tuple:
     """``y-``: every present entry inverted; undefined on an all-zero y, as
     in :meth:`Matrix.conj`."""
     if all(v is None for v in y):
         raise DegenerateInputError("conjugate transposition of an all-zero matrix")
-    return tuple([None if v is None else _inv(sf, v) for v in y])
+    return tuple([None if v is None else alg.inv_payload(v) for v in y])
 
 
-def _le(sf: Semifield, a, b):
-    """The flags of ``a <= b`` for present entries."""
-    lanes = _format(a, b)
-    if lanes is None:
-        return sf.le_payload(a, b)
-    return lanes.at_least(b, a) if sf.maximizing else lanes.at_least(a, b)
-
-
-def _below(sf: Semifield, u, v):
+def _below(alg, u, v):
     """``u <= v`` entrywise, at each point."""
     flags = True
     for a, b in zip(u, v):
@@ -470,12 +433,12 @@ def _below(sf: Semifield, u, v):
             continue
         if b is None:
             return False
-        flags = _both(flags, _le(sf, a, b))
+        flags = _both(flags, alg.le_payload(a, b))
     return flags
 
 
 def _both(f, g):
-    """The flags of ``f and g``: ``True``, ``False`` or guard bits."""
+    """The flags of ``f and g``: ``True``, ``False`` or the algebra's."""
     if f is True or g is False:
         return g
     if g is True or f is False:
@@ -483,32 +446,32 @@ def _both(f, g):
     return f & g
 
 
-def _spread(sf: Semifield, upper, lower=None):
+def _spread(alg, upper, lower=None):
     """``norm(upper) norm(lower-)``, a norm the sum of the entries; without
     ``lower``, the span seminorm of ``upper``."""
     lower = upper if lower is None else lower
-    add = partial(_add, sf)
-    return _mul(sf, reduce(add, upper, None), reduce(add, _conj(sf, lower), None))
+    add = alg.add_payload
+    return alg.mul_payload(reduce(add, upper, None), reduce(add, _conj(alg, lower), None))
 
 
 # ----------------------------------------------------------------------
 # the semantics
 
-def _distance(sf: Semifield, d: dict, y):
+def _distance(alg, d: dict, y):
     """``q- y + y- p``."""
-    return _add(sf, _dot(sf, _conj(sf, d["q"]), y), _dot(sf, _conj(sf, y), d["p"]))
+    return alg.add_payload(_dot(alg, _conj(alg, d["q"]), y), _dot(alg, _conj(alg, y), d["p"]))
 
 
-def _span_ratio(sf: Semifield, d: dict, x):
+def _span_ratio(alg, d: dict, x):
     """``(q- B x) ((A x)- p)``."""
-    return _mul(sf, _dot(sf, _conj(sf, d["q"]), _apply(sf, d["B"], x)),
-                _dot(sf, _conj(sf, _apply(sf, d["A"], x)), d["p"]))
+    return alg.mul_payload(_dot(alg, _conj(alg, d["q"]), _apply(alg, d["B"], x)),
+                           _dot(alg, _conj(alg, _apply(alg, d["A"], x)), d["p"]))
 
 
 def _recursion_cap(key: str):
     """Feasibility of ``M x <= x`` for the matrix input ``key``."""
-    def admits(sf: Semifield, d: dict, x):
-        return _below(sf, _apply(sf, d[key], x), x)
+    def admits(alg, d: dict, x):
+        return _below(alg, _apply(alg, d[key], x), x)
     return admits
 
 
@@ -516,16 +479,16 @@ def _bounds(inputs):
     """Feasibility of ``B x + g <= x`` (``g <= x`` without B) and ``C x <=
     h`` (``x <= h`` without C), each bound checked only when ``inputs``
     names it: ``_bounds(())`` admits every x."""
-    def admits(sf: Semifield, d: dict, x):
+    def admits(alg, d: dict, x):
         flags = True
         if "g" in inputs:
             lower = d["g"]
             if "B" in inputs:
-                lower = tuple(map(partial(_add, sf), _apply(sf, d["B"], x), lower))
-            flags = _below(sf, lower, x)
+                lower = tuple(map(alg.add_payload, _apply(alg, d["B"], x), lower))
+            flags = _below(alg, lower, x)
         if "h" in inputs:
             flags = _both(flags, _below(
-                sf, _apply(sf, d["C"], x) if "C" in inputs else x, d["h"]))
+                alg, _apply(alg, d["C"], x) if "C" in inputs else x, d["h"]))
         return flags
     return admits
 
@@ -536,15 +499,15 @@ def _bordered(kind: str, shapes: dict[str, str],
     r`` subject to ``B x + g <= x`` and ``C x <= h``.  The objective adds
     the present terms in that order, which matters on the multiplicative
     carriers, whose ``+`` picks an operand within ``REL_TOL``."""
-    def value(sf: Semifield, d: dict, x):
-        xc = _conj(sf, x)
-        val = _dot(sf, xc, _apply(sf, d["A"], x))
+    def value(alg, d: dict, x):
+        xc = _conj(alg, x)
+        val = _dot(alg, xc, _apply(alg, d["A"], x))
         if "p" in shapes:
-            val = _add(sf, val, _dot(sf, xc, d["p"]))
+            val = alg.add_payload(val, _dot(alg, xc, d["p"]))
         if "q" in shapes:
-            val = _add(sf, val, _dot(sf, _conj(sf, d["q"]), x))
+            val = alg.add_payload(val, _dot(alg, _conj(alg, d["q"]), x))
         if "r" in shapes:
-            val = _add(sf, val, d["r"])
+            val = alg.add_payload(val, d["r"])
         return val
 
     return ProblemKind(kind, "min", shapes,
@@ -559,7 +522,7 @@ PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
     ProblemKind(
         "cheb_image_lower", "min", {"A": "mn", "p": "m", "q": "m", "g": "n"},
         solvers.solve_cheb_image_lower,
-        lambda sf, d, x: _distance(sf, d, _apply(sf, d["A"], x)),
+        lambda alg, d, x: _distance(alg, d, _apply(alg, d["A"], x)),
         _bounds(("g",))),
     ProblemKind(
         "cheb_kleene_box", "min", {"B": "nn", "p": "n", "q": "n", "g": "n", "h": "n"},
@@ -574,12 +537,12 @@ PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
         solvers.solve_span_min, _span_ratio, _bounds(())),
     ProblemKind(
         "span_min_special", "min", {"A": "mn"}, solvers.solve_span_min_special,
-        lambda sf, d, x: _spread(sf, _apply(sf, d["A"], x)),
+        lambda alg, d, x: _spread(alg, _apply(alg, d["A"], x)),
         _bounds(())),
     ProblemKind(
         "span_min_constrained", "min", {"C": "mn", "D": "nn"},
         solvers.solve_span_min_constrained,
-        lambda sf, d, x: _spread(sf, _apply(sf, d["C"], x)),
+        lambda alg, d, x: _spread(alg, _apply(alg, d["C"], x)),
         _recursion_cap("D")),
     ProblemKind(
         "span_max", "max", {"A": "mn", "B": "kn", "p": "m", "q": "k"},
@@ -587,7 +550,7 @@ PROBLEM_KINDS: dict[str, ProblemKind] = {pk.kind: pk for pk in (
     ProblemKind(
         "span_max_norm", "max", {"A": "mn", "B": "kn"},
         solvers.solve_span_max_norm,
-        lambda sf, d, x: _spread(sf, _apply(sf, d["B"], x), _apply(sf, d["A"], x)),
+        lambda alg, d, x: _spread(alg, _apply(alg, d["B"], x), _apply(alg, d["A"], x)),
         _bounds(())),
     ProblemKind(
         "span_max_constrained", "max",

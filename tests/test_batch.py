@@ -188,27 +188,37 @@ def test_the_lane_operations_equal_the_int_operations_lane_by_lane(data):
     a = data.draw(st.lists(ints, min_size=count, max_size=count), label="a")
     b = data.draw(st.lists(ints, min_size=count, max_size=count), label="b")
     y = data.draw(ints, label="y")  # a payload, the same in every lane
-    lanes = LaneFormat(count, max(map(abs, [*a, *b, y])))
-    u, v = lanes.pack(a), lanes.pack(b)
-    assert lanes.unpack(u.v) == a
-    ys = [y] * count
-    for left, right, xs, zs in ((u, v, a, b), (u, y, a, ys), (y, v, ys, b)):
-        assert lanes.unpack(lanes.times(left, right).v) == list(map(int.__add__, xs, zs))
-        assert lanes.unpack(lanes.plus(left, right, True).v) == list(map(max, xs, zs))
-        assert lanes.unpack(lanes.plus(left, right, False).v) == list(map(min, xs, zs))
-        assert lanes.admitted(lanes.at_least(left, right)) == list(map(int.__ge__, xs, zs))
-    assert lanes.unpack(lanes.inverse(u).v) == [-x for x in a]
-    mask = lanes.at_least(u, v) & lanes.at_least(y, u)
+    bound, ys, zeros = max(map(abs, [*a, *b, y])), [y] * count, [None] * count
+    for maximizing, add, le in ((False, min, int.__ge__), (True, max, int.__le__)):
+        lanes = LaneFormat(count, bound, maximizing)
+        u, v, w = lanes.pack(a), lanes.pack(b), lanes.fill({"y": y})["y"]
+        assert lanes.unpack(u) == a and lanes.unpack(w) == ys
+        for left, right, xs, zs in ((u, v, a, b), (u, w, a, ys), (w, v, ys, b)):
+            assert lanes.unpack(lanes.mul_payload(left, right)) == list(map(int.__add__, xs, zs))
+            assert lanes.unpack(lanes.add_payload(left, right)) == list(map(add, xs, zs))
+            assert lanes.admitted(lanes.le_payload(left, right)) == list(map(le, xs, zs))
+        assert lanes.unpack(lanes.inv_payload(u)) == [-x for x in a]
+        # None is the zero in every lane: it absorbs in a product, is the
+        # identity of the sum and the least element
+        for x, xs in ((u, a), (None, zeros)):
+            assert lanes.mul_payload(x, None) is None and lanes.mul_payload(None, x) is None
+            assert lanes.unpack(lanes.add_payload(x, None)) == xs
+            assert lanes.unpack(lanes.add_payload(None, x)) == xs
+            assert lanes.admitted(lanes.le_payload(None, x)) == [True] * count
+        assert lanes.admitted(lanes.le_payload(u, None)) == [False] * count
+    # on the maximizing format, the last of the loop
+    mask = lanes.le_payload(v, u) & lanes.le_payload(u, w)
     flags = [x >= z and y >= x for x, z in zip(a, b)]
     assert lanes.admitted(mask) == flags
     assert mask.bit_count() == sum(flags)
     if any(flags):
         assert lanes.first(mask) == flags.index(True)
+        assert lanes.best(None, mask, True) == (flags.index(True), None)
         admitted = [x for x, ok in zip(a, flags) if ok]
         for largest, extreme in ((True, max), (False, min)):
             top = extreme(admitted)
             first = next(i for i, x in enumerate(a) if flags[i] and x == top)
-            assert lanes.best(u.v, mask, largest) == (first, top)
+            assert lanes.best(u, mask, largest) == (first, top)
 
 
 @pytest.mark.parametrize("sf", CARRIERS, ids=lambda sf: sf.tag)
