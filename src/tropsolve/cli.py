@@ -24,7 +24,6 @@ from .fileio import (
     report_to_dict,
     verification_to_dict,
 )
-from .gen import generate
 from .linalg import format_matrix, kleene_star, parse_matrix, spectral_radius, tr_functional
 from .problems import PROBLEM_KINDS
 from .semifield import MAX_PLUS, SEMIFIELDS, payload_text, rational
@@ -159,6 +158,7 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind not in PROBLEM_KINDS:
         return _fail(f"unknown problem kind {args.kind!r}")
+    from .gen import generate  # only this command draws instances
     sf = SEMIFIELDS[args.semifield]
     data = generate(args.kind, args.size, args.seed, sf=sf)
     text = dumps(document_to_dict(ProblemDocument(sf, args.kind, data)))

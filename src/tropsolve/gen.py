@@ -6,6 +6,10 @@ closed form hold: zero rows/columns get patched, cycle weights are shifted
 down until the trace gate passes, box tops are lifted over their floors.
 All repairs preserve integrality so that downstream grid checks stay exact.
 
+Every kind is drawn the same way: ``PLANS`` lists its inputs in draw order,
+each with the draw it takes from ``DRAWS``.  The ten written-out kinds state
+their plan; the seven spectral rows derive theirs from their shapes.
+
 Multiplicative-carrier instances are produced by generating on the additive
 sibling and mapping entries through ``v -> 2**v``, which preserves every
 order and trace relation.
@@ -26,30 +30,31 @@ ZERO_PROB = 0.2
 
 
 class _Draw:
-    """Integer entry sampler over one additive semifield."""
+    """Integer entry sampler over one additive semifield, for dimension n."""
 
-    def __init__(self, sf: Semifield, rng: random.Random):
+    def __init__(self, sf: Semifield, rng: random.Random, n: int):
         self.sf = sf
         self.rng = rng
+        self.n = n
 
     def entry(self, allow_zero: bool = True):
         if allow_zero and self.rng.random() < ZERO_PROB:
             return None
         return self.rng.randint(LO, HI)
 
-    def matrix(self, rows: int, cols: int, allow_zero: bool = True) -> Matrix:
+    def matrix(self, allow_zero: bool = True) -> Matrix:
         return Matrix.from_rows(self.sf, [
-            [self.entry(allow_zero) for _ in range(cols)] for _ in range(rows)])
+            [self.entry(allow_zero) for _ in range(self.n)] for _ in range(self.n)])
 
-    def vec(self, n: int, regular: bool = False) -> Matrix:
+    def vec(self, regular: bool = False) -> Matrix:
         return Matrix.from_rows(self.sf, [
-            [self.entry(allow_zero=not regular)] for _ in range(n)])
+            [self.entry(allow_zero=not regular)] for _ in range(self.n)])
 
-    def nonzero_vec(self, n: int) -> Matrix:
-        v = self.vec(n)
+    def nonzero_vec(self) -> Matrix:
+        v = self.vec()
         if v.is_zero:
             rows = v.to_payloads()
-            rows[self.rng.randrange(n)][0] = self.entry(allow_zero=False)
+            rows[self.rng.randrange(self.n)][0] = self.entry(allow_zero=False)
             v = Matrix.from_rows(self.sf, rows)
         return v
 
@@ -89,100 +94,59 @@ class _Draw:
         return m.sf.scalar(shift) * m
 
 
-def _build_cheb_box(d: _Draw, n: int) -> dict:
-    g = d.vec(n)
-    return {"p": d.vec(n, regular=True), "q": d.vec(n, regular=True),
-            "g": g, "h": d.vec(n, regular=True) + g}
+def _over(d: _Draw, data: dict) -> Matrix:
+    """A regular vector lifted over ``C B* g``, B and C dropped when absent,
+    so the cap gate passes."""
+    h = d.vec(regular=True)
+    floor = data["g"]
+    if "B" in data:
+        floor = data["B"].star() @ floor
+    return h + (data["C"] @ floor if "C" in data else floor)
 
 
-def _build_cheb_image_lower(d: _Draw, n: int) -> dict:
-    a = d.patch_cols(d.patch_rows(d.matrix(n, n)))
-    return {"A": a, "p": d.vec(n, regular=True), "q": d.vec(n, regular=True),
-            "g": d.vec(n)}
-
-
-def _build_cheb_kleene_box(d: _Draw, n: int) -> dict:
-    b = d.cap_cycles(d.matrix(n, n))
-    g = d.vec(n)
-    h = d.vec(n, regular=True) + (b.star() @ g)
-    return {"B": b, "p": d.nonzero_vec(n), "q": d.vec(n, regular=True),
-            "g": g, "h": h}
-
-
-def _build_cheb_kleene(d: _Draw, n: int) -> dict:
-    return {"B": d.cap_cycles(d.matrix(n, n)), "p": d.nonzero_vec(n),
-            "q": d.vec(n, regular=True)}
-
-
-def _build_span_min(d: _Draw, n: int) -> dict:
-    return {"A": d.patch_rows(d.matrix(n, n)),
-            "B": d.patch_cols(d.matrix(n, n)),
-            "p": d.nonzero_vec(n), "q": d.vec(n, regular=True)}
-
-
-def _build_span_min_special(d: _Draw, n: int) -> dict:
-    return {"A": d.patch_cols(d.patch_rows(d.matrix(n, n)))}
-
-
-def _build_span_min_constrained(d: _Draw, n: int) -> dict:
-    return {"C": d.patch_cols(d.patch_rows(d.matrix(n, n))),
-            "D": d.cap_cycles(d.matrix(n, n))}
-
-
-def _build_span_max(d: _Draw, n: int) -> dict:
-    return {"A": d.matrix(n, n, allow_zero=False),
-            "B": d.patch_cols(d.matrix(n, n)),
-            "p": d.vec(n, regular=True), "q": d.vec(n, regular=True)}
-
-
-def _build_span_max_norm(d: _Draw, n: int) -> dict:
-    return {"A": d.matrix(n, n, allow_zero=False),
-            "B": d.patch_cols(d.matrix(n, n))}
-
-
-def _build_span_max_constrained(d: _Draw, n: int) -> dict:
-    data = _build_span_max(d, n)
-    data["C"] = d.cap_cycles(d.matrix(n, n))
-    return data
-
-
-def _build_bordered(d: _Draw, n: int, shapes: dict) -> dict:
-    """An instance of a row of the general spectral problem: the row's
-    inputs drawn in the order A, B, C, p, q, g, h, r, but g first for a box
-    (h without C).  h is lifted over ``C B* g`` so the cap gate passes."""
-    def cap_floor():  # C B* g, with B and C dropped when absent
-        floor = data["g"]
-        if "B" in data:
-            floor = data["B"].star() @ floor
-        return data["C"] @ floor if "C" in data else floor
-
-    draws = {"A": lambda: d.ensure_positive_radius(d.matrix(n, n)),
-             "B": lambda: d.cap_cycles(d.matrix(n, n)),
-             "C": lambda: d.patch_cols(d.matrix(n, n)),
-             "p": lambda: d.vec(n), "q": lambda: d.vec(n, regular=True),
-             "g": lambda: d.vec(n),
-             "h": lambda: d.vec(n, regular=True) + cap_floor(),
-             "r": lambda: d.sf.scalar(d.entry())}
-    box = "h" in shapes and "C" not in shapes
-    data: dict = {}
-    for name in "gABCpqhr" if box else "ABCpqghr":
-        if name in shapes:
-            data[name] = draws[name]()
-    return {name: data[name] for name in shapes}
-
-
-BUILDERS = {
-    "cheb_box": _build_cheb_box,
-    "cheb_image_lower": _build_cheb_image_lower,
-    "cheb_kleene_box": _build_cheb_kleene_box,
-    "cheb_kleene": _build_cheb_kleene,
-    "span_min": _build_span_min,
-    "span_min_special": _build_span_min_special,
-    "span_min_constrained": _build_span_min_constrained,
-    "span_max": _build_span_max,
-    "span_max_norm": _build_span_max_norm,
-    "span_max_constrained": _build_span_max_constrained,
+# Each draw takes the sampler and the inputs drawn so far.
+DRAWS = {
+    "vector": lambda d, data: d.vec(),
+    "regular": lambda d, data: d.vec(regular=True),
+    "nonzero": lambda d, data: d.nonzero_vec(),
+    "full": lambda d, data: d.matrix(allow_zero=False),
+    "rows": lambda d, data: d.patch_rows(d.matrix()),
+    "cols": lambda d, data: d.patch_cols(d.matrix()),
+    "patched": lambda d, data: d.patch_cols(d.patch_rows(d.matrix())),
+    "cycle": lambda d, data: d.ensure_positive_radius(d.matrix()),
+    "capped": lambda d, data: d.cap_cycles(d.matrix()),
+    "over": _over,
+    "scalar": lambda d, data: d.sf.scalar(d.entry()),
 }
+
+# A spectral row draws its inputs in the order A, B, C, p, q, g, h, r, but
+# g first for a box (h without C).
+_SPECTRAL = {"A": "cycle", "B": "capped", "C": "cols", "p": "vector",
+             "q": "regular", "g": "vector", "h": "over", "r": "scalar"}
+
+
+def _spectral_plan(shapes: dict) -> dict:
+    order = "gABCpqhr" if "h" in shapes and "C" not in shapes else "ABCpqghr"
+    return {name: _SPECTRAL[name] for name in order if name in shapes}
+
+
+# Per kind, its inputs in draw order with the draw each takes.
+PLANS = {kind: _spectral_plan(pk.shapes) for kind, pk in PROBLEM_KINDS.items()}
+PLANS.update({
+    "cheb_box": {"g": "vector", "p": "regular", "q": "regular", "h": "over"},
+    "cheb_image_lower": {"A": "patched", "p": "regular", "q": "regular",
+                         "g": "vector"},
+    "cheb_kleene_box": {"B": "capped", "g": "vector", "h": "over",
+                        "p": "nonzero", "q": "regular"},
+    "cheb_kleene": {"B": "capped", "p": "nonzero", "q": "regular"},
+    "span_min": {"A": "rows", "B": "cols", "p": "nonzero", "q": "regular"},
+    "span_min_special": {"A": "patched"},
+    "span_min_constrained": {"C": "patched", "D": "capped"},
+    "span_max": {"A": "full", "B": "cols", "p": "regular", "q": "regular"},
+    "span_max_norm": {"A": "full", "B": "cols"},
+    "span_max_constrained": {"A": "full", "B": "cols", "p": "regular",
+                             "q": "regular", "C": "capped"},
+})
 
 
 def _exp_map(data: dict, shapes: dict[str, str], target: Semifield) -> dict:
@@ -195,14 +159,15 @@ def _exp_map(data: dict, shapes: dict[str, str], target: Semifield) -> dict:
 
 
 def generate(kind: str, n: int, seed: int, sf: Semifield = MAX_PLUS) -> dict:
-    """Feasible random instance of `kind` with dimension n, seeded."""
+    """Feasible random instance of `kind` with dimension n, seeded; the
+    inputs come in the kind's declared order."""
     if kind not in PROBLEM_KINDS:
         raise KeyError(f"unknown problem kind {kind!r}")
-    rng = random.Random(seed)
     base = sf if sf.additive else (MAX_PLUS if sf.maximizing else MIN_PLUS)
-    draw = _Draw(base, rng)
-    data = (BUILDERS[kind](draw, n) if kind in BUILDERS
-            else _build_bordered(draw, n, PROBLEM_KINDS[kind].shapes))
-    if not sf.additive:
-        data = _exp_map(data, PROBLEM_KINDS[kind].shapes, sf)
-    return data
+    draw = _Draw(base, random.Random(seed), n)
+    drawn: dict = {}
+    for name, how in PLANS[kind].items():
+        drawn[name] = DRAWS[how](draw, drawn)
+    shapes = PROBLEM_KINDS[kind].shapes
+    data = {name: drawn[name] for name in shapes}
+    return data if sf.additive else _exp_map(data, shapes, sf)

@@ -15,8 +15,8 @@ The star and the spectral radius cost O(n^3) carrier operations each (a
 Floyd-Warshall closure and Karp's cycle-mean recurrence); on max-plus and
 min-plus both run on Python ints, the matrix lifted once by :func:`lift`
 and the result divided once.  The star of a matrix with a cycle weight
-above one costs O(n^3 log n), and only ``tr_functional`` still sums
-powers, at O(n^4).
+above one costs O(n^3 log n); ``tr_functional`` is the trace of
+``A A*``, one product more.
 """
 
 from __future__ import annotations
@@ -253,19 +253,16 @@ def is_regular_vector(x: Matrix) -> bool:
 
 
 def tr_functional(a: Matrix) -> Scalar:
-    """Idempotent sum of the traces of A^1 .. A^n.
+    """Idempotent sum of the traces of A^1 .. A^n, as the trace of ``A A*``.
 
+    ``A*`` is the truncated sum ``I + A + ... + A^(n-1)``, so ``A A*`` sums
+    A^1 .. A^n: O(n^3), or O(n^3 log n) with a cycle weight above one.
     At most ``one`` exactly when every cycle weight in A is at most ``one``,
     which is also what ``kleene_star(a).closure_valid`` and
-    ``spectral_radius(a) <= one`` report, in O(n^3) instead of O(n^4).
+    ``spectral_radius(a) <= one`` report.
     """
     a._require_square("power traces")
-    acc = a.sf.zero
-    p = a
-    for _ in range(a.rows):
-        acc = acc + p.trace()
-        p = p @ a
-    return acc
+    return (a @ a.star()).trace()
 
 
 def has_cycle(a: Matrix) -> bool:

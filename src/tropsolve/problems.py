@@ -56,7 +56,7 @@ class ProblemKind:
     runs them on members lifted as a solution set
     draws them, and :meth:`evaluate` on Matrix members.
     ``objective(data, x)`` and ``feasible(data, x)`` are a batch of one
-    member through the same check, with Matrix and Scalar data, possibly
+    member through :meth:`evaluate`, with Matrix and Scalar data, possibly
     only the inputs the semantics reads; they are fields so that a
     ``dataclasses.replace`` copy can wrap them.
     """
@@ -74,9 +74,11 @@ class ProblemKind:
 
     def __post_init__(self):
         if self.objective is None:
-            object.__setattr__(self, "objective", self._objective)
+            object.__setattr__(self, "objective", lambda data, x: x.sf.wrap(
+                self.evaluate(data, (x,), flags=False)[1][0]))
         if self.feasible is None:
-            object.__setattr__(self, "feasible", self._feasible)
+            object.__setattr__(self, "feasible", lambda data, x: self.evaluate(
+                data, (x,), values=False)[0][0])
 
     def dim(self, data: dict, xs: Sequence | None = None) -> int:
         """Check every input against its declared shape and return ``n``.
@@ -200,34 +202,23 @@ class ProblemKind:
                     vals[i] = val
         return oks, vals, lifted
 
-    def evaluate(self, data: dict, xs: Sequence[Matrix]) -> tuple[list[bool], list]:
+    def evaluate(self, data: dict, xs: Sequence[Matrix], flags: bool = True,
+                 values: bool = True) -> tuple[list[bool] | None, list | None]:
         """``(flags, values)`` at the Matrix members ``xs``: whether each is
         feasible, and its objective as a canonical payload (an ``int`` when
-        integral), by :meth:`check`; an empty ``xs`` gives two empty
-        lists."""
+        integral), each ``None`` when not asked for, by :meth:`check` on
+        the members lifted by one :func:`linalg.lift`.  Their shapes are
+        checked first, since a column taken from a wider matrix would hide
+        its shape; an empty ``xs`` gives two empty lists."""
         if not xs:
             return [], []
-        flags, values, scale = self.check(data, *self._lifted(data, xs))
-        return flags, [unlift(v, scale) for v in values]
-
-    def _lifted(self, data: dict, xs: Sequence[Matrix]) -> tuple:
-        """``(sf, points, L)``: the members ``xs`` lifted by one
-        :func:`linalg.lift`, their shapes checked first, since a column
-        taken from a wider matrix would hide its shape."""
         self.dim(data, xs)
         sf = xs[0].sf
         if any(x.sf is not sf for x in xs):
             raise TagMismatchError(f"{self.kind} members of more than one semifield")
-        return (sf, *lift(sf, [_column(x) for x in xs]))
-
-    def _objective(self, data: dict, x: Matrix) -> Scalar:
-        sf, points, scale = self._lifted(data, (x,))
-        _, (val,), scale = self.check(data, sf, points, scale, flags=False)
-        return sf.wrap(unlift(val, scale))
-
-    def _feasible(self, data: dict, x: Matrix) -> bool:
-        (ok,), _, _ = self.check(data, *self._lifted(data, (x,)), values=False)
-        return ok
+        points, scale = lift(sf, [_column(x) for x in xs])
+        oks, vals, scale = self.check(data, sf, points, scale, flags, values)
+        return oks, None if vals is None else [unlift(v, scale) for v in vals]
 
 
 def _column(v: Matrix) -> tuple:

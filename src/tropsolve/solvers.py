@@ -198,16 +198,16 @@ def solve_span_max(a: Matrix, b: Matrix, p: Matrix, q: Matrix) -> OptimumReport:
     _require(b.is_col_regular(), "B column-regular", diags)
     _require(is_regular_vector(p), "p regular", diags)
     _require(is_regular_vector(q), "q regular", diags)
-    qc = q.conj()
-    col_scores = [(qc @ b.column(i)).item() * (a.column(i).conj() @ p).item()
-                  for i in range(n)]
+    qb, ac = q.conj() @ b, a.conj()
+    ap = ac @ p
+    col_scores = [qb[0, i] * ap[i] for i in range(n)]
     k, ties = _argbest(col_scores)
-    delta = (qc @ b @ a.conj() @ p).item()
+    delta = (qb @ ac @ p).item()
     if delta != col_scores[k]:
         raise InvariantError(
             f"{kind}: best column score {col_scores[k]!r} is not the optimum {delta!r}")
     s, _ = _argbest([a[i, k].inv() * p[i] for i in range(m)])
-    pinned = (a.column(k).conj() @ p).item()
+    pinned = ap[k]
     bounds = tuple(None if j == k else a[s, j].inv() * p[s] for j in range(n))
     family = ComponentwiseFamily(k, pinned, bounds, s, ties)
     return _optimal(kind, delta, family, diags)

@@ -1,7 +1,8 @@
 """The polynomial kernels against naive reference kernels.
 
 The references are the definitions the kernels replace: the truncated power
-sum ``I + A + ... + A^(n-1)`` for the star, the trace roots
+sum ``I + A + ... + A^(n-1)`` for the star, the sum of the power traces
+``tr(A) + ... + tr(A^n)`` for ``tr_functional``, the trace roots
 ``sum over m of tr(A^m)^(1/m)`` for the spectral radius, and, for the
 optimum of the constrained spectral kinds, the sum of trace roots over every
 interleaving ``A B^(i_1) ... A B^(i_k)``.  For every kind with a spectral or
@@ -57,6 +58,15 @@ def reference_star(a: Matrix) -> Matrix:
     for _ in range(a.rows - 1):
         p = p @ a
         acc = acc + p
+    return acc
+
+
+def reference_tr_functional(a: Matrix):
+    """tr(A) + tr(A^2) + ... + tr(A^n), one product per term."""
+    acc, p = a.sf.zero, a
+    for _ in range(a.rows):
+        acc = acc + p.trace()
+        p = p @ a
     return acc
 
 
@@ -149,6 +159,21 @@ def test_star_matches_truncated_sum(sf):
         assert closure.closure_valid == (tr_functional(a) <= sf.one)
         fallbacks += not closure.closure_valid
     assert fallbacks >= 20
+
+
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.tag)
+def test_tr_functional_matches_power_traces(sf):
+    hot = 0
+    for _, a in CASES:
+        if a.sf is not sf:
+            continue
+        got, want = tr_functional(a), reference_tr_functional(a)
+        assert got == want
+        if sf.additive:
+            assert type(got.v) is type(want.v) and got.v == want.v
+        hot += not kleene_star(a).closure_valid
+    assert hot >= 20
 
 
 @pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
